@@ -22,4 +22,4 @@ from .snn import (LifParams, LifLayerState, NetworkConfig, bptt_gradients,
                   clean_pattern, generate_poisson_input, generate_target,
                   lif_step, run_episode, surrogate_derivative, train,
                   van_rossum, vr_filter)
-from .serialize import from_bytes, summary, to_bytes
+from .serialize import ContainerError, from_bytes, summary, to_bytes

@@ -84,7 +84,7 @@ class CrossbarStore:
         t = AccessTrace()
         t.read(self.weight_bank, self.n_post)
         cols = np.nonzero(self.mask[pre_id])[0]
-        return [(int(j), float(self.weights[pre_id, j])) for j in cols], t
+        return list(zip(cols.tolist(), self.weights[pre_id, cols].tolist())), t
 
     def reverse_lookup(self, post_id):
         if not 0 <= post_id < self.n_post:
@@ -92,7 +92,7 @@ class CrossbarStore:
         t = AccessTrace()
         t.read(self.weight_bank, self.n_pre)
         rows = np.nonzero(self.mask[:, post_id])[0]
-        return [(int(i), float(self.weights[i, post_id])) for i in rows], t
+        return list(zip(rows.tolist(), self.weights[rows, post_id].tolist())), t
 
     def write_weight(self, pre_id, post_id, value, batched=False):
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
@@ -171,8 +171,7 @@ class CsrStore:
         t.read(self.ptr_bank, 2)
         t.read(self.idx_bank, hi - lo)
         t.read(self.weight_bank, hi - lo)
-        return [(int(self.col_idx[k]), float(self.weights[k]))
-                for k in range(lo, hi)], t
+        return list(zip(self.col_idx[lo:hi].tolist(), self.weights[lo:hi].tolist())), t
 
     def reverse_lookup(self, post_id):
         if not 0 <= post_id < self.n_post:
@@ -183,7 +182,7 @@ class CsrStore:
         hits = np.nonzero(self.col_idx == post_id)[0]
         t.read(self.weight_bank, len(hits))
         rows = np.searchsorted(self.row_ptr, hits, side="right") - 1
-        return [(int(r), float(self.weights[k])) for r, k in zip(rows, hits)], t
+        return list(zip(rows.tolist(), self.weights[hits].tolist())), t
 
     def _locate(self, pre_id, post_id, t):
         """Find the weight slot of (pre_id, post_id), charging the scan reads."""
@@ -297,8 +296,7 @@ class BitmapStore:
         cols = self._row_cols(pre_id)
         t.read(self.weight_bank, len(cols))
         base = int(self.row_ptr[pre_id])
-        return [(int(j), float(self.weights[base + k]))
-                for k, j in enumerate(cols)], t
+        return list(zip(cols.tolist(), self.weights[base:base + len(cols)].tolist())), t
 
     def _rank(self, pre_id, post_id):
         """Set bits of row pre_id strictly before column post_id."""
@@ -321,8 +319,8 @@ class BitmapStore:
         present = (self.bitmap[:, word] >> np.uint64(bit)) & np.uint64(1)
         rows = np.nonzero(present)[0]
         t.read(self.weight_bank, len(rows))
-        return [(int(i), float(self.weights[int(self.row_ptr[i]) + int(ranks[i])]))
-                for i in rows], t
+        weights = self.weights[self.row_ptr[rows] + ranks[rows]]
+        return list(zip(rows.tolist(), weights.tolist())), t
 
     def write_weight(self, pre_id, post_id, value, batched=False):
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):

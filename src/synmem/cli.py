@@ -262,8 +262,7 @@ def cmd_train_frontier(cfg, out_dir, seed, full_scale=False):
     diverged_cells = 0
     for b_w in bit_widths:
         quant = QuantConfig(b_w=b_w, fan_in=net.layer_sizes[0],
-                            b_e=int(sec["b_e"]), b_m=int(sec["b_m"]),
-                            rng_seed=seed)
+                            b_e=int(sec["b_e"]), b_m=int(sec["b_m"]))
         # one numeric run per bit width: spike dynamics do not depend on the
         # encoding, only the energy accounting does
         result = train(net, schemes, quant, epochs, seed, model)

@@ -125,9 +125,14 @@ def conv_reverse_addresses(g, post):
 
 
 def _valid_1d(extent, kernel):
+    """In-image taps summed over every position of one axis, in O(1).
+
+    A window of 2h+1 taps (h = kernel // 2) loses h - x taps off each edge
+    at the x-th position from that edge, for x < min(h, extent).
+    """
     half = kernel // 2
-    return sum(min(extent - 1, x + half) - max(0, x - half) + 1
-               for x in range(extent))
+    t = min(half, extent)
+    return extent * (2 * half + 1) - 2 * (t * half - t * (t - 1) // 2)
 
 
 def connection_count(g):

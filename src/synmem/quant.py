@@ -56,6 +56,11 @@ def quantize_error(err, b_e):
     return _round_to_grid(np.clip(err / peak, -1.0, 1.0), sigma(b_e))
 
 
+def quantize_membrane(u, b_m):
+    """Snap membrane values to the sigma(b_m) grid, ties away from zero; no clipping."""
+    return _round_to_grid(u, sigma(b_m))
+
+
 def stochastic_round(x, step, rng):
     """Round x to the step grid stochastically; E[result] == x.
 
@@ -83,7 +88,6 @@ class QuantConfig:
     fan_in: int
     b_e: int = 8
     b_m: int = 16
-    rng_seed: int = 0
 
     def __post_init__(self):
         for field in ("b_w", "b_e", "b_m"):

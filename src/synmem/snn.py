@@ -16,6 +16,24 @@ distance between the output raster and a target raster; the distance is
 evaluated in floating point and its gradient flows through the exponential
 filter analytically.
 
+A layer's traces P and Q depend only on its input raster, so episodes and
+their gradients run layer by layer rather than step by step. Per step
+stay only the recurrences that cannot be unrolled cheaply: the P/Q input
+filter (n_pre wide), the U/S/R refractory loop (n_post wide), and in
+reverse the g_u/g_r loop (n_post) and the g_p/g_q filter (n_pre). The
+synaptic products over all steps are one GEMM each: (P @ W) / eta forward,
+P^T @ G / eta for the weight gradient and G @ (W/eta)^T for the gradient
+at the layer's input. Histories are (steps, n) arrays.
+
+Contract against stepping every layer with `lif_step`: the per-step
+recurrences use the same elementwise operations in the same order, so
+binary spike rasters and P histories are bit-identical. A GEMM sums in
+another order than per-step products, so membrane values and gradients
+agree to within 1e-12 relative, as do soft-mode spikes, which are smooth
+in U, and the P histories they feed. A last-bit difference in U could flip
+a spike only where U lies that close to theta; the oracle tests compare
+rasters for exact equality.
+
 Stored weights are kept on the quantized grid scaled by the power-of-two
 factor eta (scale into storage, unscale at use); gradients are normalized,
 clipped and quantized, then applied with stochastic rounding onto the grid.
@@ -29,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import DEFAULT_MODEL, pass_energy
-from .quant import (eta, quantize_error, quantize_weights, sigma,
-                    stochastic_round, weight_range)
+from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
+                    sigma, stochastic_round, weight_range)
 from .rng import CounterRng, derive_seed
 from .stores import fc_pass_traces
 from .trace import AccessTrace
@@ -56,7 +74,11 @@ class LifParams:
 
 
 class LifLayerState:
-    """Mutable per-layer state plus the recorded episode history."""
+    """Mutable per-layer state plus the recorded episode history.
+
+    lif_step appends one entry per step to the history lists; run_episode
+    fills them as (steps, n) arrays. bptt_gradients reads either form.
+    """
 
     def __init__(self, n_pre, n_post):
         self.n_pre = n_pre
@@ -112,9 +134,7 @@ def lif_step(state, in_spikes, weights, params, layer_eta=1.0, b_m=None,
     u = (state.p @ w) / layer_eta - params.delta * state.r
     s = soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
     if record:
-        u_store = u if b_m is None else \
-            np.sign(u) * np.floor(np.abs(u) / sigma(b_m) + 0.5) * sigma(b_m)
-        state.u_history.append(u_store)
+        state.u_history.append(u if b_m is None else quantize_membrane(u, b_m))
         state.s_history.append(s)
         state.p_history.append(state.p.copy())
     q_new = params.alpha * state.q + in_spikes
@@ -177,23 +197,64 @@ def generate_target(clean, p, seed):
     return (clean * keep).astype(np.uint8)
 
 
-def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
-    """Forward simulation over a full episode.
+def _input_traces(spikes, params):
+    """P[n] for every step of a (steps, n_pre) input raster, plus the final P, Q."""
+    p_hist = np.empty(spikes.shape)
+    q = np.zeros(spikes.shape[1])
+    p = np.zeros(spikes.shape[1])
+    for n in range(len(spikes)):
+        p_hist[n] = p
+        q, p = params.alpha * q + spikes[n], params.beta * p + q
+    return p_hist, q, p
 
-    weights: list of per-layer (n_pre, n_post) arrays (already on their
-    storage grid); etas: per-layer scale factors. Returns the output raster
-    and the per-layer state objects carrying the recorded history.
+
+def _fire(drive, params, soft):
+    """Refractory loop over a (steps, n_post) synaptic drive: U, S, final R."""
+    u_hist = np.empty(drive.shape)
+    s_hist = np.empty(drive.shape)
+    r = np.zeros(drive.shape[1])
+    for n in range(len(drive)):
+        u = drive[n] - params.delta * r
+        s = soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
+        u_hist[n] = u
+        s_hist[n] = s
+        r = params.gamma * r + s
+    return u_hist, s_hist, r
+
+
+def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
+    """Forward simulation over a full episode, one layer at a time.
+
+    weights: list of per-layer (n_pre, n_post) arrays or connectivity stores
+    (already on their storage grid); etas: per-layer scale factors. Returns
+    the (n_out, steps) output raster and one LifLayerState per layer, whose
+    histories are (steps, n) arrays (membrane kept at b_m precision when
+    b_m is given) and whose traces are those after the last step.
     """
-    steps = in_raster.shape[1]
+    weights = [_as_weight_matrix(w) for w in weights]
+    in_raster = np.asarray(in_raster)
+    if not weights:
+        raise ValueError("need at least one layer")
+    if in_raster.ndim != 2 or in_raster.shape[0] != weights[0].shape[0]:
+        raise ValueError(f"input raster shape {in_raster.shape} != "
+                         f"({weights[0].shape[0]}, steps)")
+    for li in range(1, len(weights)):
+        if weights[li].shape[0] != weights[li - 1].shape[1]:
+            raise ValueError(f"layer {li} weights {weights[li].shape} do not "
+                             f"follow layer {li - 1} weights {weights[li - 1].shape}")
     etas = etas or [1.0] * len(weights)
-    states = [LifLayerState(w.shape[0], w.shape[1]) for w in weights]
-    out = np.zeros((weights[-1].shape[1], steps))
-    for n in range(steps):
-        spikes = in_raster[:, n]
-        for st, w, e in zip(states, weights, etas):
-            spikes = lif_step(st, spikes, w, params, layer_eta=e, b_m=b_m, soft=soft)
-        out[:, n] = spikes
-    return out, states
+    spikes = np.ascontiguousarray(in_raster.T, dtype=np.float64)   # (steps, n_pre)
+    states = []
+    for w, e in zip(weights, etas):
+        st = LifLayerState(*w.shape)
+        st.p_history, st.q, st.p = _input_traces(spikes, params)
+        u_hist, st.s_history, st.r = _fire((st.p_history @ w) / e, params, soft)
+        st.u_history = u_hist if b_m is None else quantize_membrane(u_hist, b_m)
+        if len(u_hist):
+            st.u, st.s = u_hist[-1], st.s_history[-1]
+        states.append(st)
+        spikes = st.s_history
+    return spikes.T.copy(), states
 
 
 def _loss_spike_gradient(out_raster, target, tau_vr):
@@ -212,40 +273,53 @@ def _loss_spike_gradient(out_raster, target, tau_vr):
     return g, float(vr)
 
 
+def _input_gradient(g_in, params):
+    """Reverse P/Q filter: dL/dS_in[n] from g_in[n] = dL/dP[n] via U[n]."""
+    g_s = np.empty(g_in.shape)
+    g_p = np.zeros(g_in.shape[1])
+    g_q = np.zeros(g_in.shape[1])
+    for n in range(len(g_in) - 1, -1, -1):
+        g_s[n] = g_q                            # S_in[n] feeds Q[n+1]
+        g_p, g_q = params.beta * g_p + g_in[n], params.alpha * g_q + g_p
+    return g_s
+
+
 def bptt_gradients(states, weights, out_raster, target, params, tau_vr,
                    etas=None):
     """Reverse-time gradients of the van Rossum loss w.r.t. stored weights.
 
     Unrolls the recurrences backwards with the step derivative replaced by
-    surrogate_derivative, evaluated on the stored membrane history. Returns
-    one (n_pre, n_post) array per layer.
+    surrogate_derivative, evaluated on the stored membrane history. States
+    may come from run_episode or from lif_step calls (list histories).
+    Returns one (n_pre, n_post) array per layer.
     """
-    if not states or not states[0].u_history:
-        raise ValueError("episode history is empty")
-    etas = etas or [1.0] * len(weights)
+    if not states or len(states) != len(weights):
+        raise ValueError(f"need one recorded state per layer, got {len(states)} "
+                         f"for {len(weights)} layers")
     steps = len(states[0].u_history)
+    if steps == 0:
+        raise ValueError("episode history is empty")
+    want = (states[-1].n_post, steps)
+    for name, raster in (("out_raster", out_raster), ("target", target)):
+        if np.shape(raster) != want:
+            raise ValueError(f"{name} shape {np.shape(raster)} != {want} "
+                             f"of the recorded history")
+    etas = etas or [1.0] * len(weights)
     g_spikes, _ = _loss_spike_gradient(out_raster, target, tau_vr)
     g_s_ext = g_spikes.T      # (steps, n_out)
     grads = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
         st = states[l]
-        w_eff = weights[l] / etas[l]
-        g_w = np.zeros_like(weights[l])
-        g_p_next = np.zeros(st.n_pre)
-        g_q_next = np.zeros(st.n_pre)
-        g_r_next = np.zeros(st.n_post)
-        g_s_prev = np.zeros((steps, st.n_pre))
+        h = surrogate_derivative(np.asarray(st.u_history), params)
+        g_u = np.empty(h.shape)
+        g_r = np.zeros(st.n_post)
         for n in range(steps - 1, -1, -1):
-            g_s_prev[n] = g_q_next           # S_in[n] feeds Q[n+1]
-            h = surrogate_derivative(st.u_history[n], params)
-            g_u = (g_s_ext[n] + g_r_next) * h
-            g_w += np.outer(st.p_history[n], g_u)
-            g_p = params.beta * g_p_next + w_eff @ g_u
-            g_q = params.alpha * g_q_next + g_p_next
-            g_r = params.gamma * g_r_next - params.delta * g_u
-            g_p_next, g_q_next, g_r_next = g_p, g_q, g_r
-        grads[l] = g_w / etas[l]             # d/d stored = d/d effective / eta
-        g_s_ext = g_s_prev
+            g_u[n] = (g_s_ext[n] + g_r) * h[n]
+            g_r = params.gamma * g_r - params.delta * g_u[n]
+        # d/d stored = d/d effective / eta
+        grads[l] = (np.asarray(st.p_history).T @ g_u) / etas[l]
+        if l:
+            g_s_ext = _input_gradient(g_u @ (weights[l] / etas[l]).T, params)
     return grads
 
 

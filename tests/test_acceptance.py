@@ -254,7 +254,7 @@ def test_c10_precision_sparsity_direction():
     cfg = NetworkConfig()
     cells = {}
     for b_w in (2, 5, 6):
-        quant = QuantConfig(b_w=b_w, fan_in=cfg.layer_sizes[0], rng_seed=0)
+        quant = QuantConfig(b_w=b_w, fan_in=cfg.layer_sizes[0])
         cells[b_w] = train(cfg, ["CB", "PB-BMP"], quant, 2000, seed=42)
     sp2 = cells[2].mean_sparsity
     sp6 = cells[6].mean_sparsity

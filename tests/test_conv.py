@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from synmem.conv import (ConvGeometry, build_functional, connection_count,
+from synmem.conv import (ConvGeometry, _valid_1d, build_functional, connection_count,
                          conv_crossbar_pass_traces, conv_csr_pass_traces,
                          conv_forward_addresses, conv_reverse_addresses,
                          csr_from_conv, functional_pass_traces, materialize)
@@ -97,6 +97,20 @@ class TestAddresses:
                 for ic in range(g.c_in):
                     total += len(conv_forward_addresses(g, (r, c, ic))[0])
         assert total == connection_count(g)
+
+    def test_valid_taps_closed_form_matches_per_position_sum(self):
+        # even kernels and kernels wider than the extent included
+        for extent in range(1, 60):
+            for kernel in range(1, 40):
+                half = kernel // 2
+                want = sum(min(extent - 1, x + half) - max(0, x - half) + 1
+                           for x in range(extent))
+                assert _valid_1d(extent, kernel) == want, (extent, kernel)
+
+    def test_connection_count_is_constant_time(self):
+        # an in_h read from a container header can be as large as u32 allows
+        g = ConvGeometry(2 ** 31, 5, 3, 3, 2, 4)
+        assert connection_count(g) == (3 * 2 ** 31 - 2) * 13 * 2 * 4
 
 
 class TestFunctionalStore:

@@ -3,9 +3,13 @@ distance, task generators and the trainer."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import reference_snn
+from synmem import snn
 from synmem.matrix import SynapseMatrix
-from synmem.quant import QuantConfig
+from synmem.quant import QuantConfig, eta, quantize_weights
 from synmem.rng import CounterRng
 from synmem.snn import (LifLayerState, LifParams, NetworkConfig,
                         bptt_gradients, clean_pattern, generate_poisson_input,
@@ -292,6 +296,158 @@ class TestGradients:
         with pytest.raises(ValueError):
             bptt_gradients([], [np.zeros((2, 2))], np.zeros((2, 3)),
                            np.zeros((2, 3)), LifParams(), 5.0)
+
+    def test_state_per_layer_required(self):
+        w = [np.zeros((3, 2)), np.zeros((2, 2))]
+        out, states = run_episode(w, np.ones((3, 4)), LifParams())
+        with pytest.raises(ValueError):
+            bptt_gradients(states[1:], w, out, out, LifParams(), 5.0)
+
+    def test_zero_step_history_rejected(self):
+        w = [np.zeros((3, 2))]
+        out, states = run_episode(w, np.zeros((3, 0)), LifParams())
+        with pytest.raises(ValueError):
+            bptt_gradients(states, w, out, out, LifParams(), 5.0)
+
+    @pytest.mark.parametrize("which", ("out_raster", "target"))
+    @pytest.mark.parametrize("shape", ((2, 3), (2, 5), (3, 4), (8,)))
+    def test_raster_must_match_recorded_history(self, which, shape):
+        # shorter rasters used to raise IndexError, longer ones were cut
+        w = [np.full((3, 2), 0.5)]
+        out, states = run_episode(w, np.ones((3, 4)), LifParams())
+        rasters = {"out_raster": out, "target": out.copy(), which: np.zeros(shape)}
+        with pytest.raises(ValueError):
+            bptt_gradients(states, w, rasters["out_raster"], rasters["target"],
+                           LifParams(), 5.0)
+
+    def test_accepts_lif_step_history(self):
+        # list histories from one-step calls feed the layer-major reverse pass
+        rng = CounterRng(7)
+        w = [rng.uniform_range(-1, 1, (5, 4))]
+        raster = rng.bernoulli(0.5, (5, 12)).astype(float)
+        target = rng.bernoulli(0.3, (4, 12)).astype(float)
+        out, states = reference_snn.run_episode(w, raster, LifParams())
+        assert isinstance(states[0].u_history, list)
+        got = bptt_gradients(states, w, out, target, LifParams(), 5.0)
+        want = reference_snn.bptt_gradients(states, w, out, target, LifParams(), 5.0)
+        assert _rel_diff(got[0], want[0]) <= 1e-12
+
+
+class TestEpisodeShapes:
+    def test_raster_rows_must_match_first_layer(self):
+        with pytest.raises(ValueError):
+            run_episode([np.zeros((3, 2))], np.zeros((4, 5)), LifParams())
+        with pytest.raises(ValueError):
+            run_episode([np.zeros((3, 2))], np.zeros(3), LifParams())
+
+    def test_layers_must_chain(self):
+        with pytest.raises(ValueError):
+            run_episode([np.zeros((3, 2)), np.zeros((3, 2))], np.zeros((3, 5)),
+                        LifParams())
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValueError):
+            run_episode([], np.zeros((3, 5)), LifParams())
+
+
+def _rel_diff(got, want):
+    """Largest absolute difference over the reference's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if np.array_equal(got, want):
+        return 0.0
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _check_against_oracle(weights, raster, target, params, etas, b_m, soft,
+                          dense=None):
+    """Layer-major episode and BPTT against the time-major oracle.
+
+    Binary rasters and P histories exactly; membrane values, gradients and
+    soft-mode spikes (with the P histories they feed) to 1e-12 relative.
+    `dense` gives the oracle dense copies of store-backed weights.
+    """
+    dense = dense or weights
+    out, states = run_episode(weights, raster, params, etas, b_m=b_m, soft=soft)
+    ref_out, ref_states = reference_snn.run_episode(dense, raster, params, etas,
+                                                    b_m=b_m, soft=soft)
+    for li, (st, ref) in enumerate(zip(states, ref_states)):
+        if soft and li:
+            assert _rel_diff(st.p_history, ref.p_history) <= 1e-12
+        else:
+            assert np.array_equal(st.p_history, np.array(ref.p_history))
+        if soft:
+            assert _rel_diff(st.s_history, ref.s_history) <= 1e-12
+        else:
+            assert np.array_equal(st.s_history, np.array(ref.s_history))
+        assert _rel_diff(st.u_history, ref.u_history) <= 1e-12
+    if soft:
+        assert _rel_diff(out, ref_out) <= 1e-12
+    else:
+        assert np.array_equal(out, ref_out)
+    grads = bptt_gradients(states, dense, out, target, params, 6.0, etas)
+    ref_grads = reference_snn.bptt_gradients(ref_states, dense, ref_out, target,
+                                             params, 6.0, etas)
+    for g, ref in zip(grads, ref_grads):
+        assert _rel_diff(g, ref) <= 1e-12
+
+
+@hst.composite
+def small_networks(draw):
+    sizes = draw(hst.lists(hst.integers(1, 12), min_size=2, max_size=4))
+    return {"sizes": sizes, "steps": draw(hst.integers(1, 30)),
+            "soft": draw(hst.booleans()),
+            "b_m": draw(hst.sampled_from((None, 4, 16))),
+            "store": draw(hst.booleans()),
+            "eta": draw(hst.sampled_from((1.0, 4.0))),
+            "seed": draw(hst.integers(0, 2 ** 32 - 1))}
+
+
+class TestLayerMajorOracle:
+    """run_episode / bptt_gradients against the time-major reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=small_networks())
+    def test_small_networks_match_time_major(self, net):
+        rng = CounterRng(net["seed"])
+        sizes, steps, e = net["sizes"], net["steps"], net["eta"]
+        weights = [rng.uniform_range(-1.5 * e, 1.5 * e, (a, b))
+                   for a, b in zip(sizes[:-1], sizes[1:])]
+        etas = [e] * len(weights)
+        raster = rng.bernoulli(0.5, (sizes[0], steps))
+        target = rng.bernoulli(0.3, (sizes[-1], steps)).astype(float)
+        dense = None
+        if net["store"]:
+            # 6-bit words hold weights up to 31/32; eta rescales at use
+            stores = [build_csr(SynapseMatrix(np.where(np.abs(w) > 0.2 * e, w / e, 0.0)), 6)
+                      for w in weights]
+            weights, dense = stores, [s.to_dense() for s in stores]
+        _check_against_oracle(weights, raster, target, LifParams(), etas,
+                              net["b_m"], net["soft"], dense)
+
+    @pytest.mark.parametrize("b_w", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_desk_scale_matches_time_major(self, b_w, seed):
+        sizes, steps = (200, 100, 50), 100
+        rng = CounterRng(1000 * b_w + seed)
+        etas = [eta(b_w, n) for n in sizes[:-1]]
+        weights = [quantize_weights(rng.uniform_range(-1, 1, (a, b)) * np.sqrt(3 / a) * e, b_w)
+                   for a, b, e in zip(sizes[:-1], sizes[1:], etas)]
+        raster = rng.bernoulli(rng.uniform_range(0.02, 0.2, (sizes[0], 1)),
+                               (sizes[0], steps))
+        target = rng.bernoulli(0.1, (sizes[-1], steps)).astype(float)
+        _check_against_oracle(weights, raster, target, LifParams(), etas, 16, False)
+
+    def test_quantized_training_matches_time_major(self, monkeypatch):
+        cfg = NetworkConfig()
+        q = QuantConfig(b_w=4, fan_in=cfg.layer_sizes[0])
+        got = train(cfg, "CB", q, 20, seed=5)
+        monkeypatch.setattr(snn, "run_episode", reference_snn.run_episode)
+        monkeypatch.setattr(snn, "bptt_gradients", reference_snn.bptt_gradients)
+        want = train(cfg, "CB", q, 20, seed=5)
+        assert got.vr_curve == want.vr_curve
+        assert got.vr_curve[-1] != got.vr_curve[0]      # the raster did move
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
 
 
 class TestTrain:

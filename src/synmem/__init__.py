@@ -8,9 +8,9 @@ from .matrix import SynapseMatrix, random_synapse_matrix
 from .stores import (BitmapStore, CrossbarStore, CsrStore, build_bitmap,
                      build_crossbar, build_csr, fc_pass_traces)
 from .conv import (ConvGeometry, FunctionalStore, build_functional,
-                   connection_count, conv_csr_pass_traces,
-                   conv_forward_addresses, conv_reverse_addresses,
-                   csr_from_conv, functional_pass_traces, materialize)
+                   connection_count, conv_forward_addresses,
+                   conv_reverse_addresses, csr_from_conv,
+                   functional_pass_traces, materialize)
 from .trace import AccessTrace, MemBank
 from .energy import (CostModel, DEFAULT_MODEL, CalibrationError, FcLayer,
                      ConvLayer, calibrate_defaults, layer_sweep, load_cost_model,

@@ -188,8 +188,7 @@ def cmd_fc_sweep(cfg, out_dir, seed):
     layer = FcLayer(int(sec["n_pre"]), int(sec["n_post"]), float(sec["density"]))
     bit_widths = _require_nonempty("bit_widths", [int(b) for b in sec["bit_widths"]])
     audit_before = pass_energy_call_count()
-    rows = layer_sweep(layer, bit_widths, model, seed=seed,
-                       w_word=int(sec["w_word"]))
+    rows = layer_sweep(layer, bit_widths, model, w_word=int(sec["w_word"]))
     _audit(2 * len(rows), audit_before)        # one fwd + one bwd call per row
     for r in rows:
         r["density"] = layer.density
@@ -212,7 +211,7 @@ def cmd_conv_sweep(cfg, out_dir, seed):
         raise ConfigError(f"conv_sweep: {exc}") from exc
     bit_widths = _require_nonempty("bit_widths", [int(b) for b in sec["bit_widths"]])
     audit_before = pass_energy_call_count()
-    rows = layer_sweep(ConvLayer(geometry), bit_widths, model, seed=seed,
+    rows = layer_sweep(ConvLayer(geometry), bit_widths, model,
                        include_crossbar=bool(sec["include_crossbar"]))
     _audit(2 * len(rows), audit_before)
     for r in rows:
@@ -236,7 +235,7 @@ def cmd_density_leak_grid(cfg, out_dir, seed):
     rows = sweep_density_leakage(densities, fractions, model,
                                  n_pre=int(sec["n_pre"]),
                                  n_post=int(sec["n_post"]),
-                                 b_w=int(sec["b_w"]), seed=seed,
+                                 b_w=int(sec["b_w"]),
                                  w_word=int(sec["w_word"]))
     _audit(2 * 3 * len(densities), audit_before)   # fwd+bwd per scheme per density
     path = os.path.join(out_dir, "density_leak_grid.csv")

@@ -9,6 +9,12 @@ fetched. Only the kernel weights occupy memory.
 Geometry is stride 1 with zero ("same") padding, so input and output share
 the spatial extent. Neuron ids flatten as (row * in_w + col) * channels +
 channel for both sides.
+
+The functional encoding's closed forms live here once: `functional_banks`
+is its bank layout and `functional_pass_traces` its whole-layer traffic.
+A conv layer held in CB or PB-CSR is priced by the FC table in stores,
+`fc_pass_traces(scheme, g.n_pre, g.n_post, connection_count(g), b_w)`,
+which equals building `csr_from_conv` and summing its lookups.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import SynapseMatrix
-from .stores import CsrStore, ceil_log2, quantize_for_store
+from .stores import CsrStore, quantize_for_store
 from .trace import AccessTrace, MemBank
 
 
@@ -155,7 +161,7 @@ class FunctionalStore:
         self.b_w = b_w
         self.n_pre = geometry.n_pre
         self.n_post = geometry.n_post
-        self.weight_bank = MemBank("weight", "weight", geometry.kernel_words, b_w)
+        (self.weight_bank,) = functional_banks(geometry, b_w)
 
     @property
     def nnz(self):
@@ -215,27 +221,13 @@ class FunctionalStore:
         return t
 
     def forward_pass_trace(self):
-        g = self.geometry
-        t = AccessTrace()
-        t.logic(g.n_pre * g.c_out * g.k_h * g.k_w)
-        t.read(self.weight_bank, connection_count(g))
-        return t
+        return functional_pass_traces(self.geometry, self.b_w)[0]
 
     def backward_scan_trace(self):
-        g = self.geometry
-        t = AccessTrace()
-        t.logic(g.n_post * g.c_in * g.k_h * g.k_w)
-        t.read(self.weight_bank, connection_count(g))
-        return t
+        return functional_pass_traces(self.geometry, self.b_w)[1]
 
     def weight_update_trace(self):
-        # shared kernel words are each written once per update pass
-        t = AccessTrace()
-        t.write(self.weight_bank, self.geometry.kernel_words)
-        return t
-
-    def backward_pass_trace(self):
-        return self.backward_scan_trace() + self.weight_update_trace()
+        return functional_pass_traces(self.geometry, self.b_w)[2]
 
 
 def build_functional(g, kernel, b_w):
@@ -300,33 +292,19 @@ def csr_from_conv(g, kernel, b_w):
     return CsrStore(row_ptr, col_idx, weights, g.n_post, b_w)
 
 
-def conv_csr_pass_traces(g, b_w):
-    """(forward, backward_scan, update) traces of a conv layer held in CSR.
-
-    Closed forms over the geometry; identical to building csr_from_conv and
-    summing its per-neuron lookups (the build is avoided because production
-    geometries reach millions of index entries).
-    """
-    nnz = connection_count(g)
-    ptr = MemBank("row_ptr", "index", g.n_pre + 1, ceil_log2(nnz + 1))
-    idx = MemBank("col_idx", "index", nnz, ceil_log2(g.n_post))
-    wt = MemBank("weight", "weight", nnz, b_w)
-    fwd = AccessTrace()
-    fwd.read(ptr, 2 * g.n_pre)
-    fwd.read(idx, nnz)
-    fwd.read(wt, nnz)
-    bwd = AccessTrace()
-    bwd.read(ptr, g.n_pre + 1)
-    bwd.read(idx, nnz)
-    bwd.read(wt, nnz)
-    upd = AccessTrace()
-    upd.write(wt, nnz)
-    return fwd, bwd, upd
+def functional_banks(g, b_w):
+    """Memory banks of the functional encoding: the kernel weights alone."""
+    return (MemBank("weight", "weight", g.kernel_words, b_w),)
 
 
 def functional_pass_traces(g, b_w):
-    """(forward, backward_scan, update) traces of the functional encoding."""
-    wt = MemBank("weight", "weight", g.kernel_words, b_w)
+    """(forward, backward_scan, update) traces of the functional encoding.
+
+    Every candidate address costs one logic evaluation and every in-image
+    connection one weight read; shared kernel words are each written once
+    per update pass.
+    """
+    (wt,) = functional_banks(g, b_w)
     nnz = connection_count(g)
     fwd = AccessTrace()
     fwd.logic(g.n_pre * g.c_out * g.k_h * g.k_w)
@@ -336,16 +314,4 @@ def functional_pass_traces(g, b_w):
     bwd.read(wt, nnz)
     upd = AccessTrace()
     upd.write(wt, g.kernel_words)
-    return fwd, bwd, upd
-
-
-def conv_crossbar_pass_traces(g, b_w):
-    """(forward, backward_scan, update) traces of a dense crossbar baseline."""
-    wt = MemBank("weight", "weight", g.n_pre * g.n_post, b_w)
-    fwd = AccessTrace()
-    fwd.read(wt, g.n_pre * g.n_post)
-    bwd = AccessTrace()
-    bwd.read(wt, g.n_pre * g.n_post)
-    upd = AccessTrace()
-    upd.write(wt, connection_count(g))
     return fwd, bwd, upd

@@ -19,11 +19,9 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-from .conv import (ConvGeometry, conv_crossbar_pass_traces, conv_csr_pass_traces,
-                   functional_pass_traces)
-from .matrix import random_synapse_matrix
-from .rng import CounterRng
-from .stores import build_bitmap, build_crossbar, build_csr
+from .conv import ConvGeometry, connection_count, functional_pass_traces
+from .matrix import nnz_at_density
+from .stores import fc_pass_traces
 from .trace import AccessTrace
 
 
@@ -157,43 +155,38 @@ class ConvLayer:
     geometry: ConvGeometry = ConvGeometry(28, 28, 3, 3, 32, 32)
 
 
-def _fc_stores(layer, b_w, seed, w_word):
-    rng = CounterRng(seed)
-    m = random_synapse_matrix(layer.n_pre, layer.n_post, layer.density, rng)
-    return {
-        "CB": build_crossbar(m, b_w),
-        "PB-CSR": build_csr(m, b_w),
-        "PB-BMP": build_bitmap(m, b_w, w_word),
-    }
+_FC_SCHEMES = ("CB", "PB-CSR", "PB-BMP")
 
 
-def _conv_traces(layer, b_w, include_crossbar):
-    traces = {
-        "PB-CSR": conv_csr_pass_traces(layer.geometry, b_w),
-        "FUNC": functional_pass_traces(layer.geometry, b_w),
-    }
-    if include_crossbar:
-        traces["CB"] = conv_crossbar_pass_traces(layer.geometry, b_w)
+def _fc_traces(n_pre, n_post, nnz, b_w, w_word, schemes=_FC_SCHEMES):
+    return {name: fc_pass_traces(name, n_pre, n_post, nnz, b_w, w_word)
+            for name in schemes}
+
+
+def _layer_traces(layer, b_w, w_word, include_crossbar):
+    if isinstance(layer, FcLayer):
+        nnz = nnz_at_density(layer.n_pre, layer.n_post, layer.density)
+        return _fc_traces(layer.n_pre, layer.n_post, nnz, b_w, w_word)
+    g = layer.geometry
+    schemes = ("PB-CSR", "CB") if include_crossbar else ("PB-CSR",)
+    traces = _fc_traces(g.n_pre, g.n_post, connection_count(g), b_w, w_word, schemes)
+    traces["FUNC"] = functional_pass_traces(g, b_w)
     return traces
 
 
-def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, seed=0, w_word=32,
+def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, w_word=32,
                 schemes=None, include_crossbar=False):
     """Forward/backward pass energy per (scheme, b_w).
 
     The forward pass visits every presynaptic neuron; the backward pass is
     one amortized scan of the structure plus a write per stored weight.
+    Traffic comes from the closed forms in the layer's counts (an FC layer
+    holds nnz_at_density synapses), so no store is built and no matrix drawn.
     Returns rows of dicts sorted by (b_w, scheme).
     """
     rows = []
     for b_w in bit_widths:
-        if isinstance(layer, FcLayer):
-            stores = _fc_stores(layer, b_w, seed, w_word)
-            triples = {name: (s.forward_pass_trace(), s.backward_scan_trace(),
-                              s.weight_update_trace())
-                       for name, s in stores.items()}
-        else:
-            triples = _conv_traces(layer, b_w, include_crossbar)
+        triples = _layer_traces(layer, b_w, w_word, include_crossbar)
         if schemes is not None:
             triples = {k: v for k, v in triples.items() if k in schemes}
         if not triples:
@@ -219,7 +212,7 @@ def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, seed=0, w_word=32,
 
 
 def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
-                          n_pre=728, n_post=128, b_w=8, seed=0, w_word=32):
+                          n_pre=728, n_post=128, b_w=8, w_word=32):
     """Winning scheme over a density x leakage-fraction grid.
 
     Per grid point, total = forward + backward active energy plus leakage
@@ -232,27 +225,28 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
         raise ValueError("grid needs at least 2 points per axis")
     if any(not 0.0 <= f < 1.0 for f in leak_fractions):
         raise ValueError("leak fractions must lie in [0, 1)")
+    counts = [nnz_at_density(n_pre, n_post, d) for d in densities]
     rows = []
-    for density in densities:
-        stores = _fc_stores(FcLayer(n_pre, n_post, density), b_w, seed, w_word)
+    for density, nnz in zip(densities, counts):
+        traces = _fc_traces(n_pre, n_post, nnz, b_w, w_word)
         active = {}
         leak_rate = {}
-        for name, s in stores.items():
-            fwd = pass_energy(s.forward_pass_trace(), model, name)
-            bwd = pass_energy(s.backward_scan_trace() + s.weight_update_trace(),
-                              model, name)
+        for name, (fwd_t, bwd_t, upd_t) in traces.items():
+            fwd = pass_energy(fwd_t, model, name)
+            bwd = pass_energy(bwd_t + upd_t, model, name)
             active[name] = (fwd.active_energy, bwd.active_energy)
+            # the forward trace lists every bank of the layout
             leak_rate[name] = sum(model.p_leak(model.bank_capacity(b))
-                                  for b in s.banks())
+                                  for b, _, _ in fwd_t.banks())
         ref_active = sum(active["CB"])
         ref_rate = leak_rate["CB"]
         for frac in leak_fractions:
             t_wall = frac / (1.0 - frac) * ref_active / ref_rate
             totals = {name: sum(active[name]) + leak_rate[name] * t_wall
-                      for name in stores}
+                      for name in traces}
             winner = min(sorted(totals), key=totals.get)
             oom = math.floor(math.log10(totals[winner]))
-            for name in sorted(stores):
+            for name in sorted(traces):
                 rows.append({
                     "scheme": name,
                     "b_w": b_w,
@@ -297,8 +291,10 @@ def calibrate_defaults(anchors=None):
         raise CalibrationError("anchor ratios must be positive")
 
     base = CostModel(**{**FACTORY_CONSTANTS, "e_logic": 0.0, "b_write": 0.0})
-    csr_f, csr_b, csr_u = conv_csr_pass_traces(_REFERENCE_CONV, _REFERENCE_BW)
-    fun_f, fun_b, fun_u = functional_pass_traces(_REFERENCE_CONV, _REFERENCE_BW)
+    g = _REFERENCE_CONV
+    csr_f, csr_b, csr_u = fc_pass_traces("PB-CSR", g.n_pre, g.n_post,
+                                         connection_count(g), _REFERENCE_BW)
+    fun_f, fun_b, fun_u = functional_pass_traces(g, _REFERENCE_BW)
     csr_fwd_reads = _trace_read_energy(csr_f, base)
     fun_fwd_reads = _trace_read_energy(fun_f, base)
 
@@ -337,7 +333,7 @@ def calibrate_defaults(anchors=None):
 
 def _check_orderings(model):
     """Qualitative sanity of a calibrated model on the reference layers."""
-    fc = layer_sweep(FcLayer(), [8], model, seed=0)
+    fc = layer_sweep(FcLayer(), [8], model)
     by = {r["scheme"]: r for r in fc}
     if not (by["PB-BMP"]["forward_pJ"] < by["CB"]["forward_pJ"]
             and by["PB-BMP"]["forward_pJ"] < by["PB-CSR"]["forward_pJ"]):

@@ -46,12 +46,17 @@ class SynapseMatrix:
         return [(int(i), float(self.weights[i, post_id])) for i in rows]
 
 
-def random_mask(n_pre, n_post, density, rng):
-    """Boolean mask with exactly round(density * n_pre * n_post) set slots."""
+def nnz_at_density(n_pre, n_post, density):
+    """Synapse count of an n_pre x n_post layer at `density`, checked to lie in [0, 1]."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
+    return int(round(density * (n_pre * n_post)))
+
+
+def random_mask(n_pre, n_post, density, rng):
+    """Boolean mask with exactly nnz_at_density(n_pre, n_post, density) set slots."""
+    nnz = nnz_at_density(n_pre, n_post, density)
     total = n_pre * n_post
-    nnz = int(round(density * total))
     flat = rng.choice_without_replacement(total, nnz)
     mask = np.zeros(total, dtype=bool)
     mask[flat] = True

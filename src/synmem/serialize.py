@@ -14,6 +14,8 @@ Container layout (all little-endian):
         u8 name length, name (ascii), u64 n_words, u16 word_bits,
         n_words words of ceil(word_bits/8) bytes each, little-endian.
 
+The banks and their order are the store's layout table (`stores.fc_banks`,
+`conv.functional_banks`), for the encoder and the decoder alike.
 Weight-bank words are signed two's-complement multiples of the grid step
 2**(1 - b_w), inside the weight range (-1 + step, 1 - step), so at one bit
 the only code is 0; index banks (pointers, column indices, bitmaps) are
@@ -39,9 +41,9 @@ import struct
 
 import numpy as np
 
-from .conv import ConvGeometry, FunctionalStore
+from .conv import ConvGeometry, FunctionalStore, functional_banks
 from .quant import sigma
-from .stores import BitmapStore, CrossbarStore, CsrStore, ceil_log2
+from .stores import BitmapStore, CrossbarStore, CsrStore, fc_banks
 
 MAGIC = b"SYNM"
 VERSION = 1
@@ -85,14 +87,14 @@ def _pack_words(values, word_bits, signed):
     return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
 
 
-def _weight_codes(weights, b_w):
-    return np.round(np.asarray(weights) / sigma(b_w)).astype(np.int64)
+def _signed(bank):
+    return bank.kind == "weight"
 
 
-def _bank_blob(name, values, n_words, word_bits, signed):
-    head = struct.pack("<B", len(name)) + name.encode("ascii")
-    head += struct.pack("<QH", n_words, word_bits)
-    return head + _pack_words(values, word_bits, signed)
+def _bank_blob(bank, values):
+    head = struct.pack("<B", len(bank.name)) + bank.name.encode("ascii")
+    head += struct.pack("<QH", len(values), bank.word_bits)
+    return head + _pack_words(values, bank.word_bits, _signed(bank))
 
 
 def to_bytes(store):
@@ -100,34 +102,25 @@ def to_bytes(store):
     head = struct.pack("<4sHB", MAGIC, VERSION, tag)
     if isinstance(store, CrossbarStore):
         head += struct.pack("<IIH", store.n_pre, store.n_post, store.b_w)
-        codes = _weight_codes(store.weights.reshape(-1), store.b_w)
-        banks = [_bank_blob("weight", codes, len(codes), store.b_w, True)]
+        words = [store.weights]
     elif isinstance(store, CsrStore):
         head += struct.pack("<IIHQ", store.n_pre, store.n_post, store.b_w, store.nnz)
-        banks = [
-            _bank_blob("row_ptr", store.row_ptr, len(store.row_ptr), store.p_bits, False),
-            _bank_blob("col_idx", store.col_idx, len(store.col_idx), store.c_bits, False),
-            _bank_blob("weight", _weight_codes(store.weights, store.b_w),
-                       store.nnz, store.b_w, True),
-        ]
+        words = [store.row_ptr, store.col_idx, store.weights]
     elif isinstance(store, BitmapStore):
         head += struct.pack("<IIHHQ", store.n_pre, store.n_post, store.b_w,
                             store.w_word, store.nnz)
-        banks = [
-            _bank_blob("row_ptr", store.row_ptr, len(store.row_ptr), store.p_bits, False),
-            _bank_blob("bitmap", store.bitmap.reshape(-1),
-                       store.bitmap.size, store.w_word, False),
-            _bank_blob("weight", _weight_codes(store.weights, store.b_w),
-                       store.nnz, store.b_w, True),
-        ]
+        words = [store.row_ptr, store.bitmap, store.weights]
     elif isinstance(store, FunctionalStore):
         g = store.geometry
         head += struct.pack("<IIHHIIH", g.in_h, g.in_w, g.k_h, g.k_w,
                             g.c_in, g.c_out, store.b_w)
-        codes = _weight_codes(store.kernel.reshape(-1), store.b_w)
-        banks = [_bank_blob("weight", codes, len(codes), store.b_w, True)]
+        words = [store.kernel]
     else:
         raise TypeError(f"unknown store type {type(store).__name__}")
+    *index, weights = [np.asarray(w).reshape(-1) for w in words]
+    codes = np.round(weights / sigma(store.b_w)).astype(np.int64)
+    banks = [_bank_blob(bank, values)
+             for bank, values in zip(store.banks(), [*index, codes])]
     return head + struct.pack("<B", len(banks)) + b"".join(banks)
 
 
@@ -153,18 +146,19 @@ class _Reader:
     def banks(self, layout):
         """Read the bank count and banks, which must match `layout`.
 
-        layout lists (name, n_words, word_bits, signed) in container order;
-        returns the decoded words by name, int64 codes for signed banks and
-        uint64 words otherwise.
+        layout is the store's ordered MemBanks from its layout table; returns
+        the decoded words by name, int64 codes for the weight bank and uint64
+        words for index banks.
         """
         at = self.offset
         (count,) = self.unpack("<B", "bank count")
         if count != len(layout):
             raise ContainerError(f"{count} banks, the header implies {len(layout)}", at)
-        return {name: self._bank(name, n_words, word_bits, signed)
-                for name, n_words, word_bits, signed in layout}
+        return {bank.name: self._bank(bank) for bank in layout}
 
-    def _bank(self, name, n_words, word_bits, signed):
+    def _bank(self, bank):
+        name, n_words, word_bits, signed = (bank.name, bank.n_words, bank.word_bits,
+                                            _signed(bank))
         at = self.offset
         (name_len,) = self.unpack("<B", f"bank {name!r} header")
         got = bytes(self.buf[self.take(name_len, f"bank {name!r} name"):self.offset])
@@ -258,16 +252,14 @@ def from_bytes(buf):
     if tag == 1:
         n_pre, n_post, b_w = r.unpack("<IIH", "CB header")
         _check_b_w(b_w, head + 8)
-        banks = r.banks([("weight", n_pre * n_post, b_w, True)])
+        banks = r.banks(fc_banks("CB", n_pre, n_post, 0, b_w))   # nnz does not shape CB
         r.end()
         weights = banks["weight"].reshape(n_pre, n_post) * sigma(b_w)
         return CrossbarStore(weights, weights != 0.0, b_w)
     if tag == 2:
         n_pre, n_post, b_w, nnz = r.unpack("<IIHQ", "PB-CSR header")
         _check_b_w(b_w, head + 8)
-        banks = r.banks([("row_ptr", n_pre + 1, ceil_log2(nnz + 1), False),
-                         ("col_idx", nnz, ceil_log2(n_post), False),
-                         ("weight", nnz, b_w, True)])
+        banks = r.banks(fc_banks("PB-CSR", n_pre, n_post, nnz, b_w))
         r.end()
         row_ptr = banks["row_ptr"].astype(np.int64)
         col_idx = banks["col_idx"].astype(np.int64)
@@ -278,13 +270,10 @@ def from_bytes(buf):
         _check_b_w(b_w, head + 8)
         if not 1 <= w_word <= 64:
             raise ContainerError(f"w_word must be in [1, 64], got {w_word}", head + 10)
-        words_per_row = -(-n_post // w_word)
-        banks = r.banks([("row_ptr", n_pre, ceil_log2(nnz + 1), False),
-                         ("bitmap", n_pre * words_per_row, w_word, False),
-                         ("weight", nnz, b_w, True)])
+        banks = r.banks(fc_banks("PB-BMP", n_pre, n_post, nnz, b_w, w_word))
         r.end()
         row_ptr = banks["row_ptr"].astype(np.int64)
-        bitmap = banks["bitmap"].reshape(n_pre, words_per_row)
+        bitmap = banks["bitmap"].reshape(n_pre, -(-n_post // w_word))
         _check_bitmap(r, row_ptr, bitmap, n_post, w_word, nnz, head + 12)
         return BitmapStore(row_ptr, bitmap, banks["weight"] * sigma(b_w),
                            n_post, b_w, w_word)
@@ -295,7 +284,7 @@ def from_bytes(buf):
         except ValueError as e:
             raise ContainerError(f"invalid geometry: {e}", head) from e
         _check_b_w(b_w, head + 20)
-        banks = r.banks([("weight", g.kernel_words, b_w, True)])
+        banks = r.banks(functional_banks(g, b_w))
         r.end()
         kernel = banks["weight"].reshape(c_in, c_out, k_h, k_w) * sigma(b_w)
         return FunctionalStore(g, kernel, b_w)

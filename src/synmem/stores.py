@@ -17,6 +17,14 @@ per-pre lookups; a backward pass amortizes to a single scan of the
 structure (each pointer/index/bitmap word and each weight read once)
 plus, when updating, one write per stored weight.
 
+Each closed form lives in one place. `fc_banks` is the bank layout of CB,
+PB-CSR and PB-BMP from (n_pre, n_post, nnz, b_w, w_word), and
+`fc_pass_traces` builds the forward, backward-scan and update traces from
+those banks. The store classes, the layer sweeps, training's per-epoch
+accounting and the container decoder all read them; the functional
+encoding's counterparts are `functional_banks` and `functional_pass_traces`
+in conv.
+
 Thread contract: any number of concurrent readers or one writer; traces
 are returned per call and merged by the caller.
 """
@@ -47,7 +55,75 @@ def quantize_for_store(values, b_w):
     return quantize_weights(values, b_w)
 
 
-class CrossbarStore:
+def fc_banks(scheme, n_pre, n_post, nnz, b_w, w_word=32):
+    """Ordered memory banks of an FC layer held in `scheme`; the weight bank is last.
+
+    CB holds a b_w-bit word for every potential synapse. PB-CSR holds
+    n_pre + 1 row pointers of ceil_log2(nnz + 1) bits, nnz column indices of
+    ceil_log2(n_post) bits and nnz weights. PB-BMP holds n_pre row pointers,
+    ceil(n_post / w_word) bitmap words of w_word bits per row, and nnz weights.
+    """
+    if b_w < 1:
+        raise ValueError(f"b_w must be >= 1, got {b_w}")
+    if scheme == "CB":
+        return (MemBank("weight", "weight", n_pre * n_post, b_w),)
+    p = ceil_log2(nnz + 1)
+    weight = MemBank("weight", "weight", nnz, b_w)
+    if scheme == "PB-CSR":
+        return (MemBank("row_ptr", "index", n_pre + 1, p),
+                MemBank("col_idx", "index", nnz, ceil_log2(n_post)), weight)
+    if scheme == "PB-BMP":
+        if not 1 <= w_word <= 64:
+            raise ValueError(f"w_word must be in [1, 64], got {w_word}")
+        words_per_row = -(-n_post // w_word)
+        return (MemBank("row_ptr", "index", n_pre, p),
+                MemBank("bitmap", "index", n_pre * words_per_row, w_word), weight)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def fc_pass_traces(scheme, n_pre, n_post, nnz, b_w, w_word=32):
+    """(forward, backward_scan, update) traces of a layer from its counts.
+
+    The backward scan reads every word of every bank once. The forward pass
+    reads the same words, except that each PB-CSR row reads both of its
+    bounding pointers. The update writes each stored weight once. Pass
+    traffic depends only on the shape, the nonzero count and the word
+    widths, so layer-level accounting never builds the store.
+    """
+    banks = fc_banks(scheme, n_pre, n_post, nnz, b_w, w_word)
+    fwd, bwd, upd = AccessTrace(), AccessTrace(), AccessTrace()
+    for bank in banks:
+        csr_ptr = scheme == "PB-CSR" and bank.name == "row_ptr"
+        fwd.read(bank, 2 * n_pre if csr_ptr else bank.n_words)
+        bwd.read(bank, bank.n_words)
+    upd.write(banks[-1], nnz)
+    return fwd, bwd, upd
+
+
+class _FcStore:
+    """Banks, storage and whole-layer traces of an FC store, from the table.
+
+    They are read from the live counts: a crossbar's nnz grows when a weight
+    is written to an absent synapse. Each class defines its pass-trace
+    methods in its own body, as one-line delegations to `_pass_traces`,
+    because bench/tracer.py wraps the methods in a class's own namespace.
+    """
+
+    w_word = 32         # the table's bitmap word; only PB-BMP stores set their own
+
+    def banks(self):
+        return fc_banks(self.scheme, self.n_pre, self.n_post, self.nnz, self.b_w,
+                        self.w_word)
+
+    def storage_bits(self):
+        return {b.name: b.capacity_bits for b in self.banks()}
+
+    def _pass_traces(self):
+        return fc_pass_traces(self.scheme, self.n_pre, self.n_post, self.nnz,
+                              self.b_w, self.w_word)
+
+
+class CrossbarStore(_FcStore):
     """Dense row-major storage of every potential synapse.
 
     The slot of synapse (i, j) is word i * n_post + j; absent synapses hold
@@ -63,17 +139,11 @@ class CrossbarStore:
         self.b_w = b_w
         self.weights = weights
         self.mask = mask
-        self.weight_bank = MemBank("weight", "weight", self.n_pre * self.n_post, b_w)
+        (self.weight_bank,) = self.banks()
 
     @property
     def nnz(self):
         return int(self.mask.sum())
-
-    def banks(self):
-        return (self.weight_bank,)
-
-    def storage_bits(self):
-        return {b.name: b.capacity_bits for b in self.banks()}
 
     def to_dense(self):
         return self.weights.copy()
@@ -104,29 +174,18 @@ class CrossbarStore:
         return t
 
     def forward_pass_trace(self):
-        t = AccessTrace()
-        t.read(self.weight_bank, self.n_pre * self.n_post)
-        return t
+        return self._pass_traces()[0]
 
     def backward_scan_trace(self):
-        t = AccessTrace()
-        t.read(self.weight_bank, self.n_pre * self.n_post)
-        return t
+        return self._pass_traces()[1]
 
     def weight_update_trace(self):
-        t = AccessTrace()
-        t.write(self.weight_bank, self.nnz)
-        return t
-
-    def backward_pass_trace(self):
-        return self.backward_scan_trace() + self.weight_update_trace()
+        return self._pass_traces()[2]
 
 
-class CsrStore:
+class CsrStore(_FcStore):
     """Pointer-based compressed sparse row storage.
 
-    row_ptr has n_pre + 1 entries of p = ceil_log2(nnz + 1) bits, col_idx
-    nnz entries of ceil_log2(n_post) bits, and the weight memory nnz words.
     Column indices are strictly increasing within a row. Reverse access has
     no transpose table and scans the whole structure.
     """
@@ -140,21 +199,11 @@ class CsrStore:
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.weights = weights
-        self.p_bits = ceil_log2(self.nnz + 1)
-        self.c_bits = ceil_log2(n_post)
-        self.ptr_bank = MemBank("row_ptr", "index", self.n_pre + 1, self.p_bits)
-        self.idx_bank = MemBank("col_idx", "index", self.nnz, self.c_bits)
-        self.weight_bank = MemBank("weight", "weight", self.nnz, b_w)
+        self.ptr_bank, self.idx_bank, self.weight_bank = self.banks()
 
     @property
     def nnz(self):
         return len(self.col_idx)
-
-    def banks(self):
-        return (self.ptr_bank, self.idx_bank, self.weight_bank)
-
-    def storage_bits(self):
-        return {b.name: b.capacity_bits for b in self.banks()}
 
     def to_dense(self):
         dense = np.zeros((self.n_pre, self.n_post))
@@ -215,29 +264,16 @@ class CsrStore:
         return t
 
     def forward_pass_trace(self):
-        t = AccessTrace()
-        t.read(self.ptr_bank, 2 * self.n_pre)
-        t.read(self.idx_bank, self.nnz)
-        t.read(self.weight_bank, self.nnz)
-        return t
+        return self._pass_traces()[0]
 
     def backward_scan_trace(self):
-        t = AccessTrace()
-        t.read(self.ptr_bank, self.n_pre + 1)
-        t.read(self.idx_bank, self.nnz)
-        t.read(self.weight_bank, self.nnz)
-        return t
+        return self._pass_traces()[1]
 
     def weight_update_trace(self):
-        t = AccessTrace()
-        t.write(self.weight_bank, self.nnz)
-        return t
-
-    def backward_pass_trace(self):
-        return self.backward_scan_trace() + self.weight_update_trace()
+        return self._pass_traces()[2]
 
 
-class BitmapStore:
+class BitmapStore(_FcStore):
     """Pointer-based bitmap storage.
 
     Each row owns a presence bitmap of ceil(n_post / w_word) words plus a
@@ -257,21 +293,11 @@ class BitmapStore:
         self.bitmap = bitmap            # (n_pre, words_per_row) uint64, w_word used bits
         self.weights = weights
         self.words_per_row = bitmap.shape[1]
-        self.p_bits = ceil_log2(self.nnz + 1)
-        self.ptr_bank = MemBank("row_ptr", "index", self.n_pre, self.p_bits)
-        self.bitmap_bank = MemBank(
-            "bitmap", "index", self.n_pre * self.words_per_row, w_word)
-        self.weight_bank = MemBank("weight", "weight", self.nnz, b_w)
+        self.ptr_bank, self.bitmap_bank, self.weight_bank = self.banks()
 
     @property
     def nnz(self):
         return len(self.weights)
-
-    def banks(self):
-        return (self.ptr_bank, self.bitmap_bank, self.weight_bank)
-
-    def storage_bits(self):
-        return {b.name: b.capacity_bits for b in self.banks()}
 
     def _row_cols(self, pre_id):
         words = self.bitmap[pre_id]
@@ -338,66 +364,13 @@ class BitmapStore:
         return t
 
     def forward_pass_trace(self):
-        t = AccessTrace()
-        t.read(self.ptr_bank, self.n_pre)
-        t.read(self.bitmap_bank, self.n_pre * self.words_per_row)
-        t.read(self.weight_bank, self.nnz)
-        return t
+        return self._pass_traces()[0]
 
     def backward_scan_trace(self):
-        t = AccessTrace()
-        t.read(self.ptr_bank, self.n_pre)
-        t.read(self.bitmap_bank, self.n_pre * self.words_per_row)
-        t.read(self.weight_bank, self.nnz)
-        return t
+        return self._pass_traces()[1]
 
     def weight_update_trace(self):
-        t = AccessTrace()
-        t.write(self.weight_bank, self.nnz)
-        return t
-
-    def backward_pass_trace(self):
-        return self.backward_scan_trace() + self.weight_update_trace()
-
-
-def fc_pass_traces(scheme, n_pre, n_post, nnz, b_w, w_word=32):
-    """(forward, backward_scan, update) traces of a layer from its counts.
-
-    Pass traffic depends only on the shape, the nonzero count and the word
-    widths, so layer-level accounting can skip building the store; equality
-    with built-store traces is covered by tests.
-    """
-    p = ceil_log2(nnz + 1)
-    fwd, bwd, upd = AccessTrace(), AccessTrace(), AccessTrace()
-    if scheme == "CB":
-        wt = MemBank("weight", "weight", n_pre * n_post, b_w)
-        fwd.read(wt, n_pre * n_post)
-        bwd.read(wt, n_pre * n_post)
-        upd.write(wt, nnz)
-    elif scheme == "PB-CSR":
-        ptr = MemBank("row_ptr", "index", n_pre + 1, p)
-        idx = MemBank("col_idx", "index", nnz, ceil_log2(n_post))
-        wt = MemBank("weight", "weight", nnz, b_w)
-        fwd.read(ptr, 2 * n_pre)
-        fwd.read(idx, nnz)
-        fwd.read(wt, nnz)
-        bwd.read(ptr, n_pre + 1)
-        bwd.read(idx, nnz)
-        bwd.read(wt, nnz)
-        upd.write(wt, nnz)
-    elif scheme == "PB-BMP":
-        words_per_row = -(-n_post // w_word)
-        ptr = MemBank("row_ptr", "index", n_pre, p)
-        bm = MemBank("bitmap", "index", n_pre * words_per_row, w_word)
-        wt = MemBank("weight", "weight", nnz, b_w)
-        for t in (fwd, bwd):
-            t.read(ptr, n_pre)
-            t.read(bm, n_pre * words_per_row)
-            t.read(wt, nnz)
-        upd.write(wt, nnz)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return fwd, bwd, upd
+        return self._pass_traces()[2]
 
 
 def build_crossbar(m: SynapseMatrix, b_w):

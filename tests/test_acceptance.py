@@ -134,8 +134,9 @@ def test_c04_conv_backward_advantage(conv_sweep_rows):
     ratio = by["FUNC"]["backward_pJ"] / by["PB-CSR"]["backward_pJ"]
     assert 0.30 <= ratio <= 0.60
     g = ConvGeometry(28, 28, 3, 3, 32, 32)
-    from synmem.conv import conv_csr_pass_traces, functional_pass_traces
-    _, csr_bwd, _ = conv_csr_pass_traces(g, 8)
+    from synmem.conv import connection_count, functional_pass_traces
+    from synmem.stores import fc_pass_traces
+    _, csr_bwd, _ = fc_pass_traces("PB-CSR", g.n_pre, g.n_post, connection_count(g), 8)
     _, fun_bwd, _ = functional_pass_traces(g, 8)
     csr_total_reads = csr_bwd.weight_reads + csr_bwd.indirection_reads
     assert fun_bwd.weight_reads < csr_total_reads

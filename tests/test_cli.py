@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -176,6 +177,31 @@ class TestDeterminism:
         seed_a = json.loads((out_a / "run_manifest.json").read_text())["seed"]
         seed_b = json.loads((out_b / "run_manifest.json").read_text())["seed"]
         assert (seed_a, seed_b) == (1, 2)
+
+
+# sha256 of each sweep CSV at the default config, recorded from the
+# store-building sweeps before they were replaced by the count-based ones
+DEFAULT_SWEEP_SHA256 = {
+    "fc-sweep": ("fc_sweep.csv",
+                 "91eb091ed79c2a2a76634a65defc80d642b879ef81df08666279b3331e242008"),
+    "conv-sweep": ("conv_sweep.csv",
+                   "cba3559be453b9b767399f3794344b571220c0f23d3f18c07eba46ac22184628"),
+    "density-leak-grid": (
+        "density_leak_grid.csv",
+        "d159c1626a0586fdaac21727a954a039a11606249f480fccaddc8f2aa6a0f282"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_SWEEP_SHA256))
+def test_default_sweep_bytes_are_fixed_and_seed_free(tmp_path, command):
+    name, digest = DEFAULT_SWEEP_SHA256[command]
+    cfg = write_cfg(tmp_path, {})
+    for seed in (0, 9):
+        assert run([command, "--config", cfg, "--out", tmp_path / str(seed),
+                    "--seed", seed]) == 0
+    data = (tmp_path / "0" / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert (tmp_path / "9" / name).read_bytes() == data
 
 
 class TestSchemaValidation:

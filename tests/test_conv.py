@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from synmem.conv import (ConvGeometry, _valid_1d, build_functional, connection_count,
-                         conv_crossbar_pass_traces, conv_csr_pass_traces,
                          conv_forward_addresses, conv_reverse_addresses,
                          csr_from_conv, functional_pass_traces, materialize)
 from synmem.rng import CounterRng
-from synmem.stores import build_csr
+from synmem.stores import build_csr, fc_pass_traces
 from synmem.trace import AccessTrace
 
 
@@ -213,14 +212,14 @@ class TestPassTraces:
     def test_conv_csr_pass_traces_match_real_store(self):
         g = ConvGeometry(5, 4, 3, 3, 2, 3)
         csr = csr_from_conv(g, random_kernel(g, 7), 8)
-        f, b, u = conv_csr_pass_traces(g, 8)
+        f, b, u = fc_pass_traces("PB-CSR", g.n_pre, g.n_post, connection_count(g), 8)
         assert f == csr.forward_pass_trace()
         assert b == csr.backward_scan_trace()
         assert u == csr.weight_update_trace()
 
     def test_conv_crossbar_pass_traces_shapes(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 2)
-        f, b, u = conv_crossbar_pass_traces(g, 8)
+        f, b, u = fc_pass_traces("CB", g.n_pre, g.n_post, connection_count(g), 8)
         assert f.weight_reads == g.n_pre * g.n_post
         assert u.weight_writes == connection_count(g)
 
@@ -231,7 +230,7 @@ class TestPassTraces:
         kernel = CounterRng(1).uniform_range(-0.9, 0.9, (32, 32, 3, 3))
         csr = csr_from_conv(g, kernel, 8)
         assert csr.nnz == connection_count(g) == 6_885_376
-        f, b, u = conv_csr_pass_traces(g, 8)
+        f, b, u = fc_pass_traces("PB-CSR", g.n_pre, g.n_post, connection_count(g), 8)
         assert f == csr.forward_pass_trace()
         assert b == csr.backward_scan_trace()
         assert u == csr.weight_update_trace()

@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+import reference_sweeps
 from synmem.conv import ConvGeometry
 from synmem.energy import (CalibrationError, ConvLayer, CostModel,
                            DEFAULT_ANCHORS, DEFAULT_MODEL, FACTORY_CONSTANTS,
                            FcLayer, calibrate_defaults, layer_sweep,
                            load_cost_model, next_pow2, pass_energy,
                            sweep_density_leakage)
-from synmem.matrix import random_synapse_matrix
+from synmem.matrix import nnz_at_density, random_mask, random_synapse_matrix
 from synmem.rng import CounterRng
 from synmem.stores import build_crossbar, build_csr
 from synmem.trace import AccessTrace, MemBank
@@ -114,7 +115,7 @@ class TestPassEnergy:
 
 class TestLayerSweep:
     def test_fc_bitmap_wins_forward_at_8_bits(self):
-        rows = layer_sweep(FcLayer(), [8], DEFAULT_MODEL, seed=0)
+        rows = layer_sweep(FcLayer(), [8], DEFAULT_MODEL)
         by = {r["scheme"]: r for r in rows}
         assert by["PB-BMP"]["forward_pJ"] < by["CB"]["forward_pJ"]
         assert by["PB-BMP"]["forward_pJ"] < by["PB-CSR"]["forward_pJ"]
@@ -128,13 +129,13 @@ class TestLayerSweep:
         assert fwd_ratio <= 1.10
 
     def test_single_bit_width_single_row_per_scheme(self):
-        rows = layer_sweep(FcLayer(16, 8, 0.5), [4], DEFAULT_MODEL, seed=1)
+        rows = layer_sweep(FcLayer(16, 8, 0.5), [4], DEFAULT_MODEL)
         assert len(rows) == 3
         assert {r["b_w"] for r in rows} == {4}
 
     def test_deterministic_under_seed(self):
-        a = layer_sweep(FcLayer(64, 32, 0.3), [2, 4], DEFAULT_MODEL, seed=9)
-        b = layer_sweep(FcLayer(64, 32, 0.3), [2, 4], DEFAULT_MODEL, seed=9)
+        a = layer_sweep(FcLayer(64, 32, 0.3), [2, 4], DEFAULT_MODEL)
+        b = layer_sweep(FcLayer(64, 32, 0.3), [2, 4], DEFAULT_MODEL)
         assert a == b
 
 
@@ -171,6 +172,68 @@ class TestDensityLeakGrid:
             sweep_density_leakage([0.5], [0.0, 0.5], DEFAULT_MODEL)
 
 
+class TestCountPath:
+    """The sweeps price layers from counts, equal to building the stores."""
+
+    LAYERS = [FcLayer(728, 128, d) for d in (0.0, 0.05, 0.75, 1.0)] + [
+        FcLayer(3, 5, 0.1)]          # 1.5 synapses: a rounding tie
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("w_word", [32, 7])
+    def test_layer_sweep_equals_store_building_sweep(self, seed, w_word):
+        for layer in self.LAYERS:
+            want = reference_sweeps.layer_sweep(layer, range(1, 9), DEFAULT_MODEL,
+                                                seed, w_word)
+            assert layer_sweep(layer, range(1, 9), DEFAULT_MODEL,
+                               w_word=w_word) == want, layer
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("w_word", [32, 7])
+    def test_density_grid_equals_store_building_grid(self, seed, w_word):
+        fractions = [0.0, 0.3, 0.9]
+        for b_w in range(1, 9):
+            for n_pre, n_post, densities in ((728, 128, [0.05, 0.75, 1.0]),
+                                             (3, 5, [0.1, 0.5])):
+                want = reference_sweeps.sweep_density_leakage(
+                    densities, fractions, DEFAULT_MODEL, n_pre, n_post, b_w, seed,
+                    w_word)
+                assert sweep_density_leakage(
+                    densities, fractions, DEFAULT_MODEL, n_pre, n_post, b_w,
+                    w_word) == want, (b_w, n_pre)
+
+    def test_empty_layer_grid_fails_like_the_store_building_grid(self):
+        # at density 0 a PB-CSR layer has 0-bit pointers and no other words,
+        # so its total is 0 pJ and the order of magnitude, log10(0), is
+        # undefined; both paths raise the same error
+        for sweep in (sweep_density_leakage, reference_sweeps.sweep_density_leakage):
+            with pytest.raises(ValueError, match="math domain error"):
+                sweep([0.0, 0.5], [0.0, 0.5], DEFAULT_MODEL)
+
+    def test_count_is_the_random_mask_count(self):
+        assert nnz_at_density(3, 5, 0.1) == 2
+        for density in (0.0, 0.1, 0.5, 0.7, 1.0):
+            mask = random_mask(3, 5, density, CounterRng(4))
+            assert mask.sum() == nnz_at_density(3, 5, density)
+
+    def test_out_of_range_density_rejected(self):
+        with pytest.raises(ValueError):
+            layer_sweep(FcLayer(4, 4, 1.5), [8])
+        with pytest.raises(ValueError):
+            sweep_density_leakage([-0.1, 0.5], [0.0, 0.5])
+        with pytest.raises(ValueError):
+            nnz_at_density(4, 4, float("nan"))
+
+    def test_word_widths_checked_by_the_layout_table(self):
+        with pytest.raises(ValueError, match="b_w"):
+            layer_sweep(FcLayer(4, 4, 0.5), [0])
+        with pytest.raises(ValueError, match="b_w"):
+            layer_sweep(ConvLayer(ConvGeometry(4, 4, 3, 3, 1, 1)), [0])
+        with pytest.raises(ValueError, match="w_word"):
+            layer_sweep(FcLayer(4, 4, 0.5), [8], w_word=0)
+        with pytest.raises(ValueError, match="w_word"):
+            sweep_density_leakage([0.1, 0.5], [0.0, 0.5], w_word=65)
+
+
 class TestCalibration:
     def test_factory_constants_are_the_default_anchor_solution(self):
         c = calibrate_defaults(DEFAULT_ANCHORS)
@@ -198,7 +261,7 @@ class TestCalibration:
                 "conv_backward_ratio": DEFAULT_ANCHORS["conv_backward_ratio"] * db,
             }
             model = CostModel(**calibrate_defaults(anchors))
-            rows = layer_sweep(FcLayer(), [8], model, seed=0)
+            rows = layer_sweep(FcLayer(), [8], model)
             by = {r["scheme"]: r for r in rows}
             assert by["PB-BMP"]["forward_pJ"] < by["CB"]["forward_pJ"]
 

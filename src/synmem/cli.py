@@ -7,9 +7,10 @@
 
 The config file is a JSON tree with one section per command (see
 DEFAULT_CONFIG) plus an optional "cost_model" section of constant
-overrides. Outputs are CSV files and a run_manifest.json recording the
-command, the config hash, the seed and the schema versions; no timestamps
-or absolute paths, so reruns are byte-identical.
+overrides, given inline as an object or as the path of a JSON file.
+Outputs are CSV files and a run_manifest.json recording the command, the
+config hash, the seed and the schema versions; no timestamps or absolute
+paths, so reruns are byte-identical.
 
 Exit codes: 0 ok, 2 config error, 3 calibration failure, 4 every training
 cell diverged.
@@ -123,8 +124,8 @@ def load_config(path):
     for key, val in user.items():
         if key not in merged:
             raise ConfigError(f"{path}: unknown section {key!r}")
-        if key == "cost_model" and isinstance(val, str):
-            merged[key] = val          # path to a constants file
+        if key == "cost_model" and isinstance(val, (str, dict)):
+            merged[key] = val          # load_cost_model checks its keys
             continue
         if not isinstance(val, dict):
             raise ConfigError(f"{path}: section {key!r} must be an object")
@@ -166,7 +167,10 @@ def _require_nonempty(name, values):
     return values
 
 
-def _manifest(out_dir, command, cfg, seed, files):
+def _write_outputs(out_dir, command, cfg, seed, outputs):
+    """Write each {file name: (schema, rows)} CSV and the manifest listing them."""
+    for name, (schema, rows) in outputs.items():
+        write_csv(os.path.join(out_dir, name), schema, rows)
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
     manifest = {
@@ -175,7 +179,7 @@ def _manifest(out_dir, command, cfg, seed, files):
         "seed": seed,
         "synmem_version": __version__,
         "units": "pJ (model-relative)",
-        "outputs": {name: schema for name, schema in sorted(files.items())},
+        "outputs": {name: schema for name, (schema, _) in sorted(outputs.items())},
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -192,11 +196,8 @@ def cmd_fc_sweep(cfg, out_dir, seed):
     _audit(2 * len(rows), audit_before)        # one fwd + one bwd call per row
     for r in rows:
         r["density"] = layer.density
-        r["leak_fraction"] = ""
-        r["winner_oom"] = ""
-    path = os.path.join(out_dir, "fc_sweep.csv")
-    write_csv(path, SWEEP_SCHEMA, rows)
-    _manifest(out_dir, "fc-sweep", cfg, seed, {"fc_sweep.csv": SWEEP_SCHEMA})
+    _write_outputs(out_dir, "fc-sweep", cfg, seed,
+                   {"fc_sweep.csv": (SWEEP_SCHEMA, rows)})
     return 0
 
 
@@ -214,13 +215,8 @@ def cmd_conv_sweep(cfg, out_dir, seed):
     rows = layer_sweep(ConvLayer(geometry), bit_widths, model,
                        include_crossbar=bool(sec["include_crossbar"]))
     _audit(2 * len(rows), audit_before)
-    for r in rows:
-        r["density"] = ""
-        r["leak_fraction"] = ""
-        r["winner_oom"] = ""
-    path = os.path.join(out_dir, "conv_sweep.csv")
-    write_csv(path, SWEEP_SCHEMA, rows)
-    _manifest(out_dir, "conv-sweep", cfg, seed, {"conv_sweep.csv": SWEEP_SCHEMA})
+    _write_outputs(out_dir, "conv-sweep", cfg, seed,
+                   {"conv_sweep.csv": (SWEEP_SCHEMA, rows)})
     return 0
 
 
@@ -238,10 +234,8 @@ def cmd_density_leak_grid(cfg, out_dir, seed):
                                  b_w=int(sec["b_w"]),
                                  w_word=int(sec["w_word"]))
     _audit(2 * 3 * len(densities), audit_before)   # fwd+bwd per scheme per density
-    path = os.path.join(out_dir, "density_leak_grid.csv")
-    write_csv(path, SWEEP_SCHEMA, rows)
-    _manifest(out_dir, "density-leak-grid", cfg, seed,
-              {"density_leak_grid.csv": SWEEP_SCHEMA})
+    _write_outputs(out_dir, "density-leak-grid", cfg, seed,
+                   {"density_leak_grid.csv": (SWEEP_SCHEMA, rows)})
     return 0
 
 
@@ -257,7 +251,7 @@ def cmd_train_frontier(cfg, out_dir, seed, full_scale=False):
                         lr=float(sec["lr"]), lr_anneal=int(sec["lr_anneal"]))
     epochs = int(sec["epochs"])
     frontier = []
-    files = {"frontier.csv": FRONTIER_SCHEMA}
+    outputs = {"frontier.csv": (FRONTIER_SCHEMA, frontier)}
     diverged_cells = 0
     for b_w in bit_widths:
         quant = QuantConfig(b_w=b_w, fan_in=net.layer_sizes[0],
@@ -288,10 +282,8 @@ def cmd_train_frontier(cfg, out_dir, seed, full_scale=False):
                     sp = result.sparsity[epoch - 1]
                 curve_rows.append({"epoch": epoch, "vr_distance": vr,
                                    "fwd_pJ": fwd, "bwd_pJ": bwd, "sparsity": sp})
-            write_csv(os.path.join(out_dir, curve_name), CURVE_SCHEMA, curve_rows)
-            files[curve_name] = CURVE_SCHEMA
-    write_csv(os.path.join(out_dir, "frontier.csv"), FRONTIER_SCHEMA, frontier)
-    _manifest(out_dir, "train-frontier", cfg, seed, files)
+            outputs[curve_name] = (CURVE_SCHEMA, curve_rows)
+    _write_outputs(out_dir, "train-frontier", cfg, seed, outputs)
     if frontier and diverged_cells == len(frontier):
         return 4
     return 0

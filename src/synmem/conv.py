@@ -4,7 +4,9 @@ Connectivity is never stored: the fanout of a presynaptic neuron follows
 from adding centered kernel offsets to its coordinates (forward), and the
 fanin of a postsynaptic neuron from subtracting them (reverse), with a
 bounds check rejecting out-of-image candidates so no spurious word is
-fetched. Only the kernel weights occupy memory.
+fetched. Only the kernel weights occupy memory. That bounds check lives
+once, in `_taps`, which the forward and reverse lookups and
+`csr_from_conv` all call.
 
 Geometry is stride 1 with zero ("same") padding, so input and output share
 the spatial extent. Neuron ids flatten as (row * in_w + col) * channels +
@@ -78,6 +80,32 @@ def _check_spatial(g, r, c, what):
         raise IndexError(f"{what} position ({r}, {c}) outside {g.in_h}x{g.in_w}")
 
 
+def _taps(g, r, c, sign):
+    """Kernel offsets (dr, dc) whose tap from (r, c) lands inside the image.
+
+    The tap of offset (dr, dc) is (r + sign * dr, c + sign * dc): sign 1
+    walks a pre's fanout, sign -1 a post's fanin. Offsets come in row-major
+    kernel order; for sign 1 that is ascending post position, which
+    csr_from_conv relies on.
+    """
+    kh2, kw2 = g.k_h // 2, g.k_w // 2
+    return [(dr, dc)
+            for dr in range(-kh2, kh2 + 1) if 0 <= r + sign * dr < g.in_h
+            for dc in range(-kw2, kw2 + 1) if 0 <= c + sign * dc < g.in_w]
+
+
+def _tap_pairs(g, r, c, sign, channels):
+    """(pairs, logic count) of the lookup from (r, c) over `channels`.
+
+    Pairs are ((row, col, channel), kernel_index) per in-image tap and
+    channel. Every candidate, in the image or not, costs one logic evaluation.
+    """
+    kh2, kw2 = g.k_h // 2, g.k_w // 2
+    pairs = [((r + sign * dr, c + sign * dc, ch), (dr + kh2) * g.k_w + dc + kw2)
+             for dr, dc in _taps(g, r, c, sign) for ch in range(channels)]
+    return pairs, g.k_h * g.k_w * channels
+
+
 def conv_forward_addresses(g, pre):
     """All (post, kernel_index) pairs fed by presynaptic neuron `pre`.
 
@@ -91,18 +119,7 @@ def conv_forward_addresses(g, pre):
     _check_spatial(g, r, c, "pre")
     if not 0 <= ic < g.c_in:
         raise IndexError(f"in channel {ic} outside [0, {g.c_in})")
-    kh2, kw2 = g.k_h // 2, g.k_w // 2
-    pairs = []
-    logic = 0
-    for dr in range(-kh2, kh2 + 1):
-        for dc in range(-kw2, kw2 + 1):
-            kidx = (dr + kh2) * g.k_w + (dc + kw2)
-            rr, cc = r + dr, c + dc
-            for oc in range(g.c_out):
-                logic += 1
-                if 0 <= rr < g.in_h and 0 <= cc < g.in_w:
-                    pairs.append(((rr, cc, oc), kidx))
-    return pairs, logic
+    return _tap_pairs(g, r, c, 1, g.c_out)
 
 
 def conv_reverse_addresses(g, post):
@@ -116,18 +133,7 @@ def conv_reverse_addresses(g, post):
     _check_spatial(g, r, c, "post")
     if not 0 <= oc < g.c_out:
         raise IndexError(f"out channel {oc} outside [0, {g.c_out})")
-    kh2, kw2 = g.k_h // 2, g.k_w // 2
-    pairs = []
-    logic = 0
-    for dr in range(-kh2, kh2 + 1):
-        for dc in range(-kw2, kw2 + 1):
-            kidx = (dr + kh2) * g.k_w + (dc + kw2)
-            rr, cc = r - dr, c - dc
-            for ic in range(g.c_in):
-                logic += 1
-                if 0 <= rr < g.in_h and 0 <= cc < g.in_w:
-                    pairs.append(((rr, cc, ic), kidx))
-    return pairs, logic
+    return _tap_pairs(g, r, c, -1, g.c_in)
 
 
 def _valid_1d(extent, kernel):
@@ -231,8 +237,6 @@ class FunctionalStore:
 
 
 def build_functional(g, kernel, b_w):
-    if b_w < 1:
-        raise ValueError(f"b_w must be >= 1, got {b_w}")
     kernel = np.asarray(kernel, dtype=np.float64)
     expected = (g.c_in, g.c_out, g.k_h, g.k_w)
     if kernel.shape != expected:
@@ -265,9 +269,7 @@ def csr_from_conv(g, kernel, b_w):
     w_chunks = []
     for r in range(g.in_h):
         for c in range(g.in_w):
-            offs = [(dr, dc)
-                    for dr in range(-kh2, kh2 + 1) if 0 <= r + dr < g.in_h
-                    for dc in range(-kw2, kw2 + 1) if 0 <= c + dc < g.in_w]
+            offs = _taps(g, r, c, 1)
             # posts sorted by (row', col', oc) == ascending flat post id
             posts = np.array(
                 [g.post_index(r + dr, c + dc, oc)

@@ -17,11 +17,12 @@ two before computing its capacity, the way synthesized SRAM depths come.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 from .conv import ConvGeometry, connection_count, functional_pass_traces
 from .matrix import nnz_at_density
-from .stores import fc_pass_traces
+from .stores import FC_SCHEMES, ceil_log2, fc_pass_traces
 from .trace import AccessTrace
 
 
@@ -51,7 +52,7 @@ def pass_energy_call_count():
 
 
 def next_pow2(n):
-    return 1 if n <= 1 else 2 ** (int(n - 1).bit_length())
+    return 2 ** ceil_log2(n)
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,17 @@ class CostModel:
     round_pow2: bool = FACTORY_CONSTANTS["round_pow2"]
 
     def __post_init__(self):
-        for name in ("a_read", "a_write", "a_leak", "t_access"):
-            if getattr(self, name) <= 0:
+        if not isinstance(self.round_pow2, bool):
+            raise ValueError(f"round_pow2 must be true or false, got {self.round_pow2!r}")
+        for name in ("a_read", "b_read", "a_write", "b_write", "a_leak", "e_logic",
+                     "t_access"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if name in ("a_read", "a_write", "a_leak", "t_access") and value <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("b_read", "b_write", "e_logic"):
-            if getattr(self, name) < 0:
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def e_read(self, capacity_bits, word_bits):
@@ -155,10 +162,7 @@ class ConvLayer:
     geometry: ConvGeometry = ConvGeometry(28, 28, 3, 3, 32, 32)
 
 
-_FC_SCHEMES = ("CB", "PB-CSR", "PB-BMP")
-
-
-def _fc_traces(n_pre, n_post, nnz, b_w, w_word, schemes=_FC_SCHEMES):
+def _fc_traces(n_pre, n_post, nnz, b_w, w_word, schemes=FC_SCHEMES):
     return {name: fc_pass_traces(name, n_pre, n_post, nnz, b_w, w_word)
             for name in schemes}
 
@@ -175,7 +179,7 @@ def _layer_traces(layer, b_w, w_word, include_crossbar):
 
 
 def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, w_word=32,
-                schemes=None, include_crossbar=False):
+                include_crossbar=False):
     """Forward/backward pass energy per (scheme, b_w).
 
     The forward pass visits every presynaptic neuron; the backward pass is
@@ -187,10 +191,6 @@ def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, w_word=32,
     rows = []
     for b_w in bit_widths:
         triples = _layer_traces(layer, b_w, w_word, include_crossbar)
-        if schemes is not None:
-            triples = {k: v for k, v in triples.items() if k in schemes}
-        if not triples:
-            raise ValueError("no schemes selected for the sweep")
         group = []
         for name in sorted(triples):
             fwd_t, bwd_t, upd_t = triples[name]
@@ -219,7 +219,8 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
     scaled so that it contributes the requested fraction of the crossbar
     reference total at that density; sparse input activity stretches the
     pass wall-clock, which is what the fraction axis stands for. The order
-    of magnitude reported for a point is floor(log10(winning total)).
+    of magnitude reported for a point is floor(log10(winning total)), or ""
+    when the winning total is 0 pJ (an empty PB-CSR layer).
     """
     if len(densities) < 2 or len(leak_fractions) < 2:
         raise ValueError("grid needs at least 2 points per axis")
@@ -245,7 +246,8 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
             totals = {name: sum(active[name]) + leak_rate[name] * t_wall
                       for name in traces}
             winner = min(sorted(totals), key=totals.get)
-            oom = math.floor(math.log10(totals[winner]))
+            best = totals[winner]
+            oom = math.floor(math.log10(best)) if best > 0 else ""
             for name in sorted(traces):
                 rows.append({
                     "scheme": name,

@@ -50,7 +50,7 @@ from .energy import DEFAULT_MODEL, pass_energy
 from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
                     sigma, stochastic_round, weight_range)
 from .rng import CounterRng, derive_seed
-from .stores import fc_pass_traces
+from .stores import FC_SCHEMES, fc_pass_traces
 from .trace import AccessTrace
 
 
@@ -91,9 +91,6 @@ class LifLayerState:
         self.u_history = []     # membrane per step, quantized to b_m when set
         self.s_history = []
         self.p_history = []
-
-    def reset(self):
-        self.__init__(self.n_pre, self.n_post)
 
 
 def surrogate_derivative(u, params):
@@ -363,9 +360,6 @@ class TrainResult:
         return sum(f + b for f, b in self.energy[scheme])
 
 
-SCHEMES = ("CB", "PB-CSR", "PB-BMP")
-
-
 def _epoch_energy(weights, schemes, steps, quant, cost_model, traces, energy):
     """Account one epoch: `steps` forward and backward scans, one update pass.
 
@@ -399,7 +393,7 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
         cost_model = DEFAULT_MODEL
     schemes = [scheme] if isinstance(scheme, str) else list(scheme)
     for s in schemes:
-        if s not in SCHEMES:
+        if s not in FC_SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
     if len(cfg.layer_sizes) < 2 or any(n < 1 for n in cfg.layer_sizes):
         raise ValueError(f"need >= 2 positive layer sizes, got {cfg.layer_sizes}")

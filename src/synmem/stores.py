@@ -55,6 +55,9 @@ def quantize_for_store(values, b_w):
     return quantize_weights(values, b_w)
 
 
+FC_SCHEMES = ("CB", "PB-CSR", "PB-BMP")      # the encodings fc_banks lays out
+
+
 def fc_banks(scheme, n_pre, n_post, nnz, b_w, w_word=32):
     """Ordered memory banks of an FC layer held in `scheme`; the weight bank is last.
 
@@ -250,15 +253,8 @@ class CsrStore(_FcStore):
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
             raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
         t = AccessTrace()
-        if batched:
-            lo, hi = int(self.row_ptr[pre_id]), int(self.row_ptr[pre_id + 1])
-            row_cols = self.col_idx[lo:hi]
-            pos = int(np.searchsorted(row_cols, post_id))
-            if pos == len(row_cols) or row_cols[pos] != post_id:
-                raise KeyError(f"synapse ({pre_id}, {post_id}) not present")
-            slot = lo + pos
-        else:
-            slot = self._locate(pre_id, post_id, t)
+        # a batched update knows its slots: the search's reads go uncharged
+        slot = self._locate(pre_id, post_id, AccessTrace() if batched else t)
         self.weights[slot] = quantize_for_store(value, self.b_w)
         t.write(self.weight_bank)
         return t
@@ -374,15 +370,11 @@ class BitmapStore(_FcStore):
 
 
 def build_crossbar(m: SynapseMatrix, b_w):
-    if b_w < 1:
-        raise ValueError(f"b_w must be >= 1, got {b_w}")
     weights = np.where(m.mask, quantize_for_store(m.weights, b_w), 0.0)
     return CrossbarStore(weights, m.mask.copy(), b_w)
 
 
 def build_csr(m: SynapseMatrix, b_w):
-    if b_w < 1:
-        raise ValueError(f"b_w must be >= 1, got {b_w}")
     counts = m.mask.sum(axis=1)
     row_ptr = np.zeros(m.n_pre + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
@@ -392,8 +384,6 @@ def build_csr(m: SynapseMatrix, b_w):
 
 
 def build_bitmap(m: SynapseMatrix, b_w, w_word=32):
-    if b_w < 1:
-        raise ValueError(f"b_w must be >= 1, got {b_w}")
     if not 1 <= w_word <= 64:
         raise ValueError(f"w_word must be in [1, 64], got {w_word}")
     words_per_row = -(-m.n_post // w_word)

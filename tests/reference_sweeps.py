@@ -72,7 +72,8 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
             totals = {name: sum(active[name]) + leak_rate[name] * t_wall
                       for name in stores}
             winner = min(sorted(totals), key=totals.get)
-            oom = math.floor(math.log10(totals[winner]))
+            best = totals[winner]
+            oom = math.floor(math.log10(best)) if best > 0 else ""
             for name in sorted(stores):
                 rows.append({
                     "scheme": name,

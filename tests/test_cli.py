@@ -37,6 +37,12 @@ SMALL_TRAIN = {"train_frontier": {"layer_sizes": [16, 8, 4], "steps": 8,
                                   "epochs": 2, "bit_widths": [2, 4],
                                   "schemes": ["CB", "PB-BMP"],
                                   "lr_anneal": 0}}
+COMMAND_SECTIONS = [
+    ("fc-sweep", SMALL_FC),
+    ("conv-sweep", SMALL_CONV),
+    ("density-leak-grid", SMALL_GRID),
+    ("train-frontier", SMALL_TRAIN),
+]
 
 
 class TestConfig:
@@ -80,6 +86,32 @@ class TestConfig:
         rows = read_rows(tmp_path / "fc_sweep.csv")
         cb4 = next(r for r in rows if r["scheme"] == "CB" and r["b_w"] == "4")
         assert float(cb4["forward_pJ"]) == 48 * 32 * 4
+
+    def test_inline_cost_model_equals_file_form(self, tmp_path):
+        constants = {"b_read": 0.0, "b_write": 0.0}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(constants))
+        written = {}
+        for form, source in (("file", str(model)), ("inline", constants)):
+            cfg = write_cfg(tmp_path, {**SMALL_FC, "cost_model": source},
+                            name=f"{form}.json")
+            assert run(["fc-sweep", "--config", cfg, "--out", tmp_path / form]) == 0
+            written[form] = (tmp_path / form / "fc_sweep.csv").read_bytes()
+        assert written["inline"] == written["file"]
+
+    def test_unknown_inline_cost_model_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**SMALL_FC, "cost_model": {"a_raed": 2.0}})
+        assert run(["fc-sweep", "--config", cfg, "--out", tmp_path]) == 2
+        assert "a_raed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constants", [
+        {"a_read": float("nan")}, {"a_read": "x"}, {"round_pow2": "no"}],
+        ids=["non-finite", "non-numeric", "round-pow2-not-bool"])
+    def test_bad_cost_model_constant_exit_code(self, tmp_path, constants):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(constants))
+        cfg = write_cfg(tmp_path, {**SMALL_FC, "cost_model": str(model)})
+        assert run(["fc-sweep", "--config", cfg, "--out", tmp_path]) == 2
 
     def test_missing_cost_model_file(self, tmp_path):
         over = dict(SMALL_FC)
@@ -129,6 +161,15 @@ class TestCommands:
             assert best["winner"] == "1"
             assert sum(int(r["winner"]) for r in group) == 1
 
+    def test_density_grid_with_an_empty_layer(self, tmp_path):
+        # the 0-density, 0-leak point is won by a 0 pJ PB-CSR layer, whose
+        # order of magnitude is undefined and left empty
+        cfg = write_cfg(tmp_path, {"density_leak_grid": {"densities": [0.0, 0.5]}})
+        assert run(["density-leak-grid", "--config", cfg, "--out", tmp_path]) == 0
+        for r in read_rows(tmp_path / "density_leak_grid.csv"):
+            empty = (r["density"], r["leak_fraction"]) == ("0.0", "0.0")
+            assert (r["winner_oom"] == "") == empty, r
+
     def test_train_frontier_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_TRAIN)
         assert run(["train-frontier", "--config", cfg, "--out", tmp_path,
@@ -147,12 +188,7 @@ class TestCommands:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command,section", [
-        ("fc-sweep", SMALL_FC),
-        ("conv-sweep", SMALL_CONV),
-        ("density-leak-grid", SMALL_GRID),
-        ("train-frontier", SMALL_TRAIN),
-    ])
+    @pytest.mark.parametrize("command,section", COMMAND_SECTIONS)
     def test_rerun_is_byte_identical(self, tmp_path, command, section):
         cfg = write_cfg(tmp_path, section)
         out_a = tmp_path / "a"
@@ -202,6 +238,15 @@ def test_default_sweep_bytes_are_fixed_and_seed_free(tmp_path, command):
     data = (tmp_path / "0" / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
     assert (tmp_path / "9" / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("command,section", COMMAND_SECTIONS)
+def test_out_holds_exactly_the_manifest_outputs(tmp_path, command, section):
+    cfg = write_cfg(tmp_path, section)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sorted(os.listdir(out)) == sorted([*manifest["outputs"], "run_manifest.json"])
 
 
 class TestSchemaValidation:

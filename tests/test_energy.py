@@ -201,13 +201,18 @@ class TestCountPath:
                     densities, fractions, DEFAULT_MODEL, n_pre, n_post, b_w,
                     w_word) == want, (b_w, n_pre)
 
-    def test_empty_layer_grid_fails_like_the_store_building_grid(self):
-        # at density 0 a PB-CSR layer has 0-bit pointers and no other words,
-        # so its total is 0 pJ and the order of magnitude, log10(0), is
-        # undefined; both paths raise the same error
-        for sweep in (sweep_density_leakage, reference_sweeps.sweep_density_leakage):
-            with pytest.raises(ValueError, match="math domain error"):
-                sweep([0.0, 0.5], [0.0, 0.5], DEFAULT_MODEL)
+    def test_empty_layer_grid_equals_the_store_building_grid(self):
+        # at density 0 and no leakage a PB-CSR layer has 0-bit pointers and
+        # no other words, so its total is 0 pJ and the order of magnitude,
+        # log10(0), is undefined; both paths leave it empty
+        rows = sweep_density_leakage([0.0, 0.5], [0.0, 0.5], DEFAULT_MODEL)
+        assert rows == reference_sweeps.sweep_density_leakage(
+            [0.0, 0.5], [0.0, 0.5], DEFAULT_MODEL)
+        for r in rows:
+            empty = (r["density"], r["leak_fraction"]) == (0.0, 0.0)
+            assert (r["winner_oom"] == "") == empty, r
+            if empty and r["winner"]:
+                assert (r["scheme"], r["total_pJ"]) == ("PB-CSR", 0.0)
 
     def test_count_is_the_random_mask_count(self):
         assert nnz_at_density(3, 5, 0.1) == 2

@@ -8,28 +8,36 @@
 The config file is a JSON tree with one section per command (see
 DEFAULT_CONFIG) plus an optional "cost_model" section of constant
 overrides, given inline as an object or as the path of a JSON file.
-Outputs are CSV files and a run_manifest.json recording the command, the
-config hash, the seed and the schema versions; no timestamps or absolute
-paths, so reruns are byte-identical.
+Every key a section may hold, with its default, its JSON type and the
+range of its values, is declared once in CONFIG_KEYS; load_config rejects
+any other value with a ConfigError naming `section.key`. Rules that a
+library type checks when it is built (ConvGeometry, QuantConfig,
+NetworkConfig, CostModel) are reported as config errors naming the
+section. Outputs are CSV files and a run_manifest.json recording the
+command, the hash of the config that ran, the seed and the schema
+versions; no timestamps or absolute paths, so reruns are byte-identical.
 
-Exit codes: 0 ok, 2 config error, 3 calibration failure, 4 every training
-cell diverged.
+Exit codes: 0 ok, 2 config error, 4 every training cell diverged. Any
+other exception raised while a command computes is a bug and propagates.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .conv import ConvGeometry
-from .energy import (CalibrationError, ConvLayer, DEFAULT_MODEL, FcLayer,
-                     layer_sweep, load_cost_model, pass_energy_call_count,
-                     sweep_density_leakage)
+from .energy import (ConvLayer, FcLayer, layer_sweep, load_cost_model,
+                     pass_energy_call_count, sweep_density_leakage)
 from .quant import QuantConfig
 from .snn import NetworkConfig, train
+from .stores import FC_SCHEMES
 
 
 class ConfigError(Exception):
@@ -51,31 +59,79 @@ _SCHEMAS = {
     CURVE_SCHEMA: CURVE_COLUMNS,
 }
 
-DEFAULT_CONFIG = {
-    "cost_model": {},
+
+class Key(NamedTuple):
+    """One config key: its default, its JSON type, and the range each number
+    in it must lie in, [lo, hi] or [lo, hi) when hi_open (None: unbounded)."""
+    default: object
+    type: str
+    lo: float = None
+    hi: float = None
+    hi_open: bool = False
+
+
+# what each type accepts; an int is a number, so a float key reads it as a float
+_TYPE_TEXT = {
+    "int": "an integer",
+    "float": "a finite number",
+    "bool": "true or false",
+    "int list": "a nonempty list of integers",
+    "grid axis": 'a list of at least 2 numbers or {"min", "max", "steps"} '
+                 "with integer steps >= 2",
+    "scheme list": f"a nonempty list of distinct names from {', '.join(FC_SCHEMES)}",
+}
+# list type -> (item type, least length)
+_LISTS = {"int list": ("int", 1), "grid axis": ("float", 2),
+          "scheme list": ("scheme", 1)}
+
+# section -> key -> Key. Ranges that ConvGeometry (odd kernels), QuantConfig
+# (b_w, b_e, b_m >= 2) and NetworkConfig (layer shape, steps, tau_vr, lr,
+# lr_anneal) check when they are built are left to them.
+CONFIG_KEYS = {
     "fc_sweep": {
-        "n_pre": 728, "n_post": 128, "density": 0.75,
-        "bit_widths": [2, 3, 4, 5, 6, 7, 8],
-        "w_word": 32,
+        "n_pre": Key(728, "int", 1),
+        "n_post": Key(128, "int", 1),
+        "density": Key(0.75, "float", 0.0, 1.0),
+        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "int list", 1),
+        "w_word": Key(32, "int", 1, 64),
     },
     "conv_sweep": {
-        "in_h": 28, "in_w": 28, "k_h": 3, "k_w": 3, "c_in": 32, "c_out": 32,
-        "bit_widths": [2, 3, 4, 5, 6, 7, 8],
-        "include_crossbar": False,
+        "in_h": Key(28, "int", 1),
+        "in_w": Key(28, "int", 1),
+        "k_h": Key(3, "int", 1),
+        "k_w": Key(3, "int", 1),
+        "c_in": Key(32, "int", 1),
+        "c_out": Key(32, "int", 1),
+        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "int list", 1),
+        "include_crossbar": Key(False, "bool"),
     },
     "density_leak_grid": {
-        "n_pre": 728, "n_post": 128, "b_w": 8,
-        "densities": {"min": 0.05, "max": 1.0, "steps": 10},
-        "leak_fractions": {"min": 0.0, "max": 0.9, "steps": 10},
-        "w_word": 32,
+        "n_pre": Key(728, "int", 1),
+        "n_post": Key(128, "int", 1),
+        "b_w": Key(8, "int", 1),
+        "densities": Key({"min": 0.05, "max": 1.0, "steps": 10}, "grid axis", 0.0, 1.0),
+        "leak_fractions": Key({"min": 0.0, "max": 0.9, "steps": 10}, "grid axis",
+                              0.0, 1.0, hi_open=True),
+        "w_word": Key(32, "int", 1, 64),
     },
     "train_frontier": {
-        "layer_sizes": [200, 100, 50], "steps": 100, "epochs": 2000,
-        "bit_widths": [2, 3, 4, 5, 6],
-        "schemes": ["CB", "PB-BMP", "PB-CSR"],
-        "b_e": 8, "b_m": 16,
-        "lr": 0.0005, "lr_anneal": 180, "tau_vr": 10.0,
+        "layer_sizes": Key([200, 100, 50], "int list"),
+        "steps": Key(100, "int"),
+        "epochs": Key(2000, "int", 0),
+        "bit_widths": Key([2, 3, 4, 5, 6], "int list"),
+        "schemes": Key(["CB", "PB-BMP", "PB-CSR"], "scheme list"),
+        "b_e": Key(8, "int"),
+        "b_m": Key(16, "int"),
+        "lr": Key(0.0005, "float"),
+        "lr_anneal": Key(180, "int"),
+        "tau_vr": Key(10.0, "float"),
     },
+}
+
+DEFAULT_CONFIG = {
+    "cost_model": {},
+    **{section: {name: key.default for name, key in keys.items()}
+       for section, keys in CONFIG_KEYS.items()},
 }
 
 _FULL_SCALE = {"layer_sizes": [700, 400, 250], "steps": 250, "epochs": 10000}
@@ -121,20 +177,87 @@ def load_config(path):
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: top level must be an object")
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
-    for key, val in user.items():
-        if key not in merged:
-            raise ConfigError(f"{path}: unknown section {key!r}")
-        if key == "cost_model" and isinstance(val, (str, dict)):
-            merged[key] = val          # load_cost_model checks its keys
+    for section, val in user.items():
+        if section not in merged:
+            raise ConfigError(f"{path}: unknown section {section!r}")
+        if section == "cost_model":
+            if not isinstance(val, (str, dict)):
+                raise ConfigError(f"{path}: cost_model must be an object or a file path")
+            merged[section] = val      # load_cost_model checks its keys
             continue
         if not isinstance(val, dict):
-            raise ConfigError(f"{path}: section {key!r} must be an object")
-        unknown = set(val) - set(merged[key])
+            raise ConfigError(f"{path}: section {section!r} must be an object")
+        keys = CONFIG_KEYS[section]
+        unknown = set(val) - set(keys)
         if unknown:
             raise ConfigError(
-                f"{path}: unknown keys in {key!r}: {sorted(unknown)}")
-        merged[key].update(val)
+                f"{path}: unknown keys in {section!r}: {sorted(unknown)}")
+        for name, value in val.items():
+            typed = _typed(keys[name], value)
+            if typed is None:
+                raise ConfigError(
+                    f"{path}: {section}.{name} must be {_describe(keys[name])}, "
+                    f"got {json.dumps(value)}")
+            merged[section][name] = typed
     return merged
+
+
+def _describe(key):
+    text = _TYPE_TEXT[key.type]
+    if key.lo is None:
+        return text
+    text += ", each value" if key.type in _LISTS else ""
+    if key.hi is None:
+        return f"{text} >= {key.lo}"
+    return f"{text} in [{key.lo}, {key.hi}{')' if key.hi_open else ']'}"
+
+
+def _scalar(kind, value):
+    """`value` as a `kind` scalar ("int", "float", "bool" or "scheme"), or None."""
+    if kind == "bool":
+        return value if isinstance(value, bool) else None
+    if kind == "scheme":
+        return value if isinstance(value, str) and value in FC_SCHEMES else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if kind == "int":
+        return value if isinstance(value, int) else None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _typed(key, value):
+    """`value` read as the key's type, or None if it is not one or lies out of range."""
+    if key.type == "grid axis" and isinstance(value, dict):
+        if set(value) != {"min", "max", "steps"}:
+            return None
+        typed = {"min": _scalar("float", value["min"]),
+                 "max": _scalar("float", value["max"]),
+                 "steps": _scalar("int", value["steps"])}
+        if None in typed.values() or typed["steps"] < 2:
+            return None
+        points = _grid_axis(typed)
+    elif key.type in _LISTS:
+        item, least = _LISTS[key.type]
+        if not isinstance(value, list) or len(value) < least:
+            return None
+        typed = points = [_scalar(item, v) for v in value]
+        if None in typed or (item == "scheme" and len(set(typed)) < len(typed)):
+            return None
+    else:
+        typed = _scalar(key.type, value)
+        if typed is None:
+            return None
+        points = [typed]
+    if key.lo is not None and any(x < key.lo for x in points):
+        return None
+    if key.hi is not None and any(x >= key.hi if key.hi_open else x > key.hi
+                                  for x in points):
+        return None
+    return typed
 
 
 def _cost_model(cfg):
@@ -147,24 +270,20 @@ def _cost_model(cfg):
         raise ConfigError(f"bad cost model {source!r}: {exc}") from exc
 
 
-def _grid_axis(axis_cfg):
-    if isinstance(axis_cfg, list):
-        axis = [float(x) for x in axis_cfg]
-    else:
-        steps = int(axis_cfg["steps"])
-        if steps < 2:
-            raise ConfigError("grid axes need at least 2 steps")
-        lo, hi = float(axis_cfg["min"]), float(axis_cfg["max"])
-        axis = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
-    if len(axis) < 2:
-        raise ConfigError("grid axes need at least 2 points")
-    return axis
+@contextlib.contextmanager
+def _built_from(section):
+    """Report a rule a library type checks when built from `section` as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _require_nonempty(name, values):
-    if not values:
-        raise ConfigError(f"{name} must be nonempty")
-    return values
+def _grid_axis(axis):
+    if isinstance(axis, list):
+        return axis
+    lo, hi, steps = axis["min"], axis["max"], axis["steps"]
+    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
 def _write_outputs(out_dir, command, cfg, seed, outputs):
@@ -189,10 +308,9 @@ def _write_outputs(out_dir, command, cfg, seed, outputs):
 def cmd_fc_sweep(cfg, out_dir, seed):
     sec = cfg["fc_sweep"]
     model = _cost_model(cfg)
-    layer = FcLayer(int(sec["n_pre"]), int(sec["n_post"]), float(sec["density"]))
-    bit_widths = _require_nonempty("bit_widths", [int(b) for b in sec["bit_widths"]])
+    layer = FcLayer(sec["n_pre"], sec["n_post"], sec["density"])
     audit_before = pass_energy_call_count()
-    rows = layer_sweep(layer, bit_widths, model, w_word=int(sec["w_word"]))
+    rows = layer_sweep(layer, sec["bit_widths"], model, w_word=sec["w_word"])
     _audit(2 * len(rows), audit_before)        # one fwd + one bwd call per row
     for r in rows:
         r["density"] = layer.density
@@ -204,16 +322,12 @@ def cmd_fc_sweep(cfg, out_dir, seed):
 def cmd_conv_sweep(cfg, out_dir, seed):
     sec = cfg["conv_sweep"]
     model = _cost_model(cfg)
-    try:
-        geometry = ConvGeometry(int(sec["in_h"]), int(sec["in_w"]),
-                                int(sec["k_h"]), int(sec["k_w"]),
-                                int(sec["c_in"]), int(sec["c_out"]))
-    except ValueError as exc:
-        raise ConfigError(f"conv_sweep: {exc}") from exc
-    bit_widths = _require_nonempty("bit_widths", [int(b) for b in sec["bit_widths"]])
+    with _built_from("conv_sweep"):
+        geometry = ConvGeometry(sec["in_h"], sec["in_w"], sec["k_h"], sec["k_w"],
+                                sec["c_in"], sec["c_out"])
     audit_before = pass_energy_call_count()
-    rows = layer_sweep(ConvLayer(geometry), bit_widths, model,
-                       include_crossbar=bool(sec["include_crossbar"]))
+    rows = layer_sweep(ConvLayer(geometry), sec["bit_widths"], model,
+                       include_crossbar=sec["include_crossbar"])
     _audit(2 * len(rows), audit_before)
     _write_outputs(out_dir, "conv-sweep", cfg, seed,
                    {"conv_sweep.csv": (SWEEP_SCHEMA, rows)})
@@ -224,41 +338,35 @@ def cmd_density_leak_grid(cfg, out_dir, seed):
     sec = cfg["density_leak_grid"]
     model = _cost_model(cfg)
     densities = _grid_axis(sec["densities"])
-    fractions = _grid_axis(sec["leak_fractions"])
-    if any(not 0.0 <= f < 1.0 for f in fractions):
-        raise ConfigError("leak_fractions must lie in [0, 1)")
     audit_before = pass_energy_call_count()
-    rows = sweep_density_leakage(densities, fractions, model,
-                                 n_pre=int(sec["n_pre"]),
-                                 n_post=int(sec["n_post"]),
-                                 b_w=int(sec["b_w"]),
-                                 w_word=int(sec["w_word"]))
+    rows = sweep_density_leakage(densities, _grid_axis(sec["leak_fractions"]), model,
+                                 n_pre=sec["n_pre"], n_post=sec["n_post"],
+                                 b_w=sec["b_w"], w_word=sec["w_word"])
     _audit(2 * 3 * len(densities), audit_before)   # fwd+bwd per scheme per density
     _write_outputs(out_dir, "density-leak-grid", cfg, seed,
                    {"density_leak_grid.csv": (SWEEP_SCHEMA, rows)})
     return 0
 
 
-def cmd_train_frontier(cfg, out_dir, seed, full_scale=False):
-    sec = dict(cfg["train_frontier"])
-    if full_scale:
-        sec.update(_FULL_SCALE)
+def cmd_train_frontier(cfg, out_dir, seed):
+    sec = cfg["train_frontier"]
     model = _cost_model(cfg)
-    schemes = _require_nonempty("schemes", list(sec["schemes"]))
-    bit_widths = _require_nonempty("bit_widths", [int(b) for b in sec["bit_widths"]])
-    net = NetworkConfig(layer_sizes=tuple(int(n) for n in sec["layer_sizes"]),
-                        steps=int(sec["steps"]), tau_vr=float(sec["tau_vr"]),
-                        lr=float(sec["lr"]), lr_anneal=int(sec["lr_anneal"]))
-    epochs = int(sec["epochs"])
+    with _built_from("train_frontier"):
+        net = NetworkConfig(layer_sizes=sec["layer_sizes"], steps=sec["steps"],
+                            tau_vr=sec["tau_vr"], lr=sec["lr"],
+                            lr_anneal=sec["lr_anneal"])
+        quants = [QuantConfig(b_w=b_w, fan_in=net.layer_sizes[0],
+                              b_e=sec["b_e"], b_m=sec["b_m"])
+                  for b_w in sec["bit_widths"]]
+    schemes = sec["schemes"]
     frontier = []
     outputs = {"frontier.csv": (FRONTIER_SCHEMA, frontier)}
     diverged_cells = 0
-    for b_w in bit_widths:
-        quant = QuantConfig(b_w=b_w, fan_in=net.layer_sizes[0],
-                            b_e=int(sec["b_e"]), b_m=int(sec["b_m"]))
+    for quant in quants:
+        b_w = quant.b_w
         # one numeric run per bit width: spike dynamics do not depend on the
         # encoding, only the energy accounting does
-        result = train(net, schemes, quant, epochs, seed, model)
+        result = train(net, schemes, quant, sec["epochs"], seed, model)
         for scheme in schemes:
             frontier.append({
                 "scheme": scheme,
@@ -318,6 +426,7 @@ _COMMANDS = {
     "fc-sweep": cmd_fc_sweep,
     "conv-sweep": cmd_conv_sweep,
     "density-leak-grid": cmd_density_leak_grid,
+    "train-frontier": cmd_train_frontier,
 }
 
 
@@ -325,21 +434,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command == "train-frontier" and args.full_scale:
+            cfg["train_frontier"].update(_FULL_SCALE)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "train-frontier":
-            return cmd_train_frontier(cfg, args.out, args.seed,
-                                      full_scale=args.full_scale)
         return _COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # invalid numeric settings surface from the library as ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CalibrationError as exc:
-        print(f"calibration failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ Access costs grow with memory capacity:
 
 plus a flat e_logic per address-logic evaluation. When round_pow2 is set
 (the default), the word count of a bank is rounded up to the next power of
-two before computing its capacity, the way synthesized SRAM depths come.
+two before computing its capacity, the way synthesized SRAM depths come;
+a bank of 0 words has capacity 0 either way.
 """
 
 import json
@@ -90,7 +91,8 @@ class CostModel:
         return self.a_leak * capacity_bits
 
     def bank_capacity(self, bank):
-        words = next_pow2(bank.n_words) if self.round_pow2 else bank.n_words
+        n = bank.n_words
+        words = next_pow2(n) if self.round_pow2 and n else n     # 0 words hold nothing
         return words * bank.word_bits
 
     def bank_read(self, bank):

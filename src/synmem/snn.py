@@ -334,6 +334,19 @@ class NetworkConfig:
     pattern_period: int = 20
     pattern_band: int = 3
 
+    def __post_init__(self):
+        if len(self.layer_sizes) < 2 or any(n < 1 for n in self.layer_sizes):
+            raise ValueError(
+                f"layer_sizes needs >= 2 positive sizes, got {self.layer_sizes}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (np.isfinite(self.tau_vr) and self.tau_vr > 0):
+            raise ValueError(f"tau_vr must be finite and > 0, got {self.tau_vr}")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if self.lr_anneal < 0:
+            raise ValueError(f"lr_anneal must be >= 0, got {self.lr_anneal}")
+
 
 @dataclass
 class TrainResult:
@@ -395,10 +408,8 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
     for s in schemes:
         if s not in FC_SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
-    if len(cfg.layer_sizes) < 2 or any(n < 1 for n in cfg.layer_sizes):
-        raise ValueError(f"need >= 2 positive layer sizes, got {cfg.layer_sizes}")
-    if cfg.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {cfg.steps}")
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"duplicate schemes in {schemes}")
 
     sizes = cfg.layer_sizes
     rng = CounterRng(seed)

@@ -1,10 +1,12 @@
-"""The benchmark's span tracer still finds every layer it wraps.
+"""The benchmark's hooks into the package still resolve.
 
 bench/tracer.py resolves functions by their module attribute (for example
 `snn.lif_step` and `cli.write_csv`) and store methods through each class's
 own `__dict__`, so a refactor that moves or renames one of them breaks
-`bench/run.py --trace 1`. The tracer is installed in a subprocess, so its
-wrappers never reach other tests.
+`bench/run.py --trace 1`. The workloads' `setup` reads the config through
+`cli.load_config` and the cost model through `energy.load_cost_model`, so a
+change at the config boundary can break `bench/run.py` itself. Both run in
+a subprocess, so the tracer's wrappers never reach other tests.
 """
 
 import os
@@ -22,10 +24,27 @@ assert hasattr(synmem.snn.lif_step, "__wrapped__")
 assert hasattr(synmem.stores.CsrStore.__dict__["write_weight"], "__wrapped__")
 """
 
+SETUP = """
+import sys
+import synmem
+import synmem.cli
+import workloads
+for name in ("sweep", "train", "store"):
+    workloads.WORKLOADS[name](1, sys.argv[1]).setup()
+"""
 
-def test_tracer_installs_on_the_package():
+
+def _run_with_bench_path(script, *args):
     path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")])
-    proc = subprocess.run([sys.executable, "-c", INSTALL],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_installs_on_the_package():
+    _run_with_bench_path(INSTALL)
+
+
+def test_workload_setups_run(tmp_path):
+    _run_with_bench_path(SETUP, str(tmp_path))

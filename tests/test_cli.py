@@ -3,12 +3,14 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
 
-from synmem.cli import (ConfigError, DEFAULT_CONFIG, build_parser, load_config,
-                        main, validate_csv)
+from synmem.cli import (CONFIG_KEYS, ConfigError, DEFAULT_CONFIG, build_parser,
+                        load_config, main, validate_csv)
+from synmem.snn import TrainResult
 
 
 def write_cfg(tmp_path, overrides=None, name="cfg.json"):
@@ -129,6 +131,127 @@ class TestConfig:
         assert run(["train-frontier", "--config", cfg, "--out", tmp_path]) == 2
 
 
+def _just_outside(key):
+    """Values of `key`'s type that lie just outside its range."""
+    item = {"int": True, "int list": True, "float": False, "grid axis": False}
+    if key.type not in item or (key.lo is None and key.hi is None):
+        return []
+    integer = item[key.type]
+    outside = []
+    if key.lo is not None:
+        outside.append(key.lo - 1 if integer else math.nextafter(key.lo, -math.inf))
+    if key.hi is not None:
+        outside.append(key.hi if key.hi_open
+                       else key.hi + 1 if integer else math.nextafter(key.hi, math.inf))
+    if key.type == "grid axis":
+        return [[x, key.lo] for x in outside]
+    if key.type == "int list":
+        return [[key.lo, x] for x in outside]
+    return outside
+
+
+TABLE_KEYS = [(section, name) for section, keys in CONFIG_KEYS.items()
+              for name in keys]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("section,name", TABLE_KEYS)
+    def test_each_key_checks_its_type_and_range(self, tmp_path, capsys, section,
+                                                name):
+        key = CONFIG_KEYS[section][name]
+        cfg = load_config(write_cfg(tmp_path, {section: {name: key.default}}))
+        assert cfg[section][name] == key.default
+        command = section.replace("_", "-")
+        bad = ["x", *_just_outside(key)]
+        assert len(bad) > 1 or (key.lo is None and key.hi is None)
+        for value in bad:
+            cfg = write_cfg(tmp_path, {section: {name: value}})
+            assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2, value
+            assert f"{section}.{name}" in capsys.readouterr().err, value
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,override,names", [
+        ("fc_sweep", {"bit_widths": "2345"}, "fc_sweep.bit_widths"),
+        ("fc_sweep", {"n_pre": 7.9}, "fc_sweep.n_pre"),
+        ("fc_sweep", {"n_pre": True}, "fc_sweep.n_pre"),
+        ("fc_sweep", {"density": "0.5"}, "fc_sweep.density"),
+        ("conv_sweep", {"include_crossbar": "false"}, "conv_sweep.include_crossbar"),
+        ("density_leak_grid", {"densities": {"min": 0.1, "max": 1.0, "steps": 2.7}},
+         "density_leak_grid.densities"),
+        ("density_leak_grid", {"densities": "ab"}, "density_leak_grid.densities"),
+        ("density_leak_grid", {"densities": {"min": 0.1}}, "density_leak_grid.densities"),
+        ("train_frontier", {"steps": None}, "train_frontier.steps"),
+        ("train_frontier", {"layer_sizes": 6}, "train_frontier.layer_sizes"),
+        ("train_frontier", {"tau_vr": 0.0}, "train_frontier: tau_vr"),
+        ("train_frontier", {"tau_vr": -3.0}, "train_frontier: tau_vr"),
+        ("train_frontier", {"lr_anneal": -5}, "train_frontier: lr_anneal"),
+        ("train_frontier", {"epochs": -1}, "train_frontier.epochs"),
+        ("train_frontier", {"layer_sizes": [6.5, 3]}, "train_frontier.layer_sizes"),
+        ("train_frontier", {"schemes": "CB"}, "train_frontier.schemes"),
+        ("train_frontier", {"schemes": ["CB", "CB"]}, "train_frontier.schemes"),
+        ("train_frontier", {"lr": float("nan")}, "train_frontier.lr"),
+        ("train_frontier", {"lr": -1e-4}, "train_frontier: lr"),
+    ], ids=["bit-widths-string", "n-pre-fraction", "n-pre-bool", "density-string",
+            "include-crossbar-string", "fractional-steps", "axis-string",
+            "axis-without-max-and-steps", "steps-null", "layer-sizes-int",
+            "tau-vr-zero", "tau-vr-negative", "lr-anneal-negative",
+            "epochs-negative", "layer-sizes-fraction", "schemes-string",
+            "schemes-duplicate", "lr-nan", "lr-negative"])
+    def test_probed_fault_is_a_config_error(self, tmp_path, capsys, section,
+                                            override, names):
+        base = dict(SMALL_TRAIN["train_frontier"]) if section == "train_frontier" else {}
+        cfg = write_cfg(tmp_path, {section: {**base, **override}})
+        command = section.replace("_", "-")
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_int_for_a_float_key_reads_as_float(self, tmp_path):
+        written = {}
+        for density in (1, 1.0):
+            cfg = write_cfg(tmp_path, {"fc_sweep": {**SMALL_FC["fc_sweep"],
+                                                    "density": density}},
+                            name=f"{density!r}.json")
+            out = tmp_path / repr(density)
+            assert run(["fc-sweep", "--config", cfg, "--out", out]) == 0
+            written[density] = (out / "fc_sweep.csv").read_bytes()
+        assert written[1] == written[1.0]
+        assert {r["density"] for r in read_rows(tmp_path / "1" / "fc_sweep.csv")} == {"1.0"}
+
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug in the library")
+        monkeypatch.setattr("synmem.cli.layer_sweep", broken)
+        cfg = write_cfg(tmp_path, SMALL_FC)
+        with pytest.raises(ValueError, match="a bug in the library"):
+            run(["fc-sweep", "--config", cfg, "--out", tmp_path])
+
+    def test_full_scale_manifest_hashes_the_config_that_ran(self, tmp_path,
+                                                             monkeypatch):
+        ran = []
+
+        def fake_train(net, schemes, quant, epochs, seed, model):
+            ran.append((list(net.layer_sizes), net.steps, epochs))
+            return TrainResult([1.0], {s: [] for s in schemes}, {}, [], [])
+        monkeypatch.setattr("synmem.cli.train", fake_train)
+        cfg = write_cfg(tmp_path, {})
+        digests = {}
+        for scale, flags in (("desk", []), ("full", ["--full-scale"])):
+            out = tmp_path / scale
+            assert run(["train-frontier", "--config", cfg, "--out", out, *flags]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            digests[scale] = manifest["config_sha256"]
+        assert ran[-1] == ([700, 400, 250], 250, 10000)
+        effective = load_config(cfg)
+        assert digests["desk"] == hashlib.sha256(
+            json.dumps(effective, sort_keys=True).encode()).hexdigest()
+        effective["train_frontier"].update(
+            {"layer_sizes": [700, 400, 250], "steps": 250, "epochs": 10000})
+        assert digests["full"] == hashlib.sha256(
+            json.dumps(effective, sort_keys=True).encode()).hexdigest()
+        assert digests["desk"] != digests["full"]
+
+
 class TestCommands:
     def test_fc_sweep_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_FC)
@@ -162,12 +285,13 @@ class TestCommands:
             assert sum(int(r["winner"]) for r in group) == 1
 
     def test_density_grid_with_an_empty_layer(self, tmp_path):
-        # the 0-density, 0-leak point is won by a 0 pJ PB-CSR layer, whose
-        # order of magnitude is undefined and left empty
+        # every 0-density point is won by a 0 pJ PB-CSR layer (its empty banks
+        # hold no capacity and leak nothing), whose order of magnitude is
+        # undefined and left empty
         cfg = write_cfg(tmp_path, {"density_leak_grid": {"densities": [0.0, 0.5]}})
         assert run(["density-leak-grid", "--config", cfg, "--out", tmp_path]) == 0
         for r in read_rows(tmp_path / "density_leak_grid.csv"):
-            empty = (r["density"], r["leak_fraction"]) == ("0.0", "0.0")
+            empty = r["density"] == "0.0"
             assert (r["winner_oom"] == "") == empty, r
 
     def test_train_frontier_outputs(self, tmp_path):

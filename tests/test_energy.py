@@ -68,6 +68,21 @@ class TestPassEnergy:
         rep = pass_energy(t, simple_model())   # e_read = 1 * word_bits = 2
         assert rep.active_energy == 20.0
 
+    def test_empty_bank_holds_no_capacity(self):
+        # PB-CSR's col_idx bank at nnz 0: with or without rounding the depth
+        # up to a power of two it stores nothing and leaks nothing
+        empty = MemBank("col_idx", "index", 0, 7)
+        row_ptr = MemBank("row_ptr", "index", 5, 3)
+        t = AccessTrace()
+        t.read(empty, 0)
+        t.read(row_ptr, 4)
+        for round_pow2 in (True, False):
+            m = simple_model(round_pow2=round_pow2)
+            assert m.bank_capacity(empty) == 0
+            rep = pass_energy(t, m)
+            assert rep.leakage_energy == m.p_leak(m.bank_capacity(row_ptr)) * 4
+            assert rep.per_bank["col_idx"] == (0.0, 0.0)
+
     def test_linearity(self):
         m = DEFAULT_MODEL
         rng = CounterRng(0)
@@ -202,14 +217,15 @@ class TestCountPath:
                     w_word) == want, (b_w, n_pre)
 
     def test_empty_layer_grid_equals_the_store_building_grid(self):
-        # at density 0 and no leakage a PB-CSR layer has 0-bit pointers and
-        # no other words, so its total is 0 pJ and the order of magnitude,
-        # log10(0), is undefined; both paths leave it empty
+        # at density 0 a PB-CSR layer has 0-bit pointers and no other words,
+        # so it holds no capacity, leaks nothing and totals 0 pJ at every
+        # leak fraction; the order of magnitude, log10(0), is undefined and
+        # both paths leave it empty
         rows = sweep_density_leakage([0.0, 0.5], [0.0, 0.5], DEFAULT_MODEL)
         assert rows == reference_sweeps.sweep_density_leakage(
             [0.0, 0.5], [0.0, 0.5], DEFAULT_MODEL)
         for r in rows:
-            empty = (r["density"], r["leak_fraction"]) == (0.0, 0.0)
+            empty = r["density"] == 0.0
             assert (r["winner_oom"] == "") == empty, r
             if empty and r["winner"]:
                 assert (r["scheme"], r["total_pJ"]) == ("PB-CSR", 0.0)

@@ -515,3 +515,24 @@ class TestTrain:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             train(NetworkConfig(), "XYZ", None, 1, seed=0)
+
+    def test_duplicate_schemes_rejected(self):
+        # each scheme's energy would be appended twice per epoch
+        with pytest.raises(ValueError, match="duplicate"):
+            train(NetworkConfig(layer_sizes=(4, 2), steps=2), ["CB", "CB"], None, 1,
+                  seed=0)
+
+
+class TestNetworkConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("layer_sizes", (8,)), ("layer_sizes", (8, 0)), ("steps", 0),
+        ("tau_vr", 0.0), ("tau_vr", -3.0), ("tau_vr", float("inf")),
+        ("tau_vr", float("nan")), ("lr", -1e-4), ("lr", float("nan")),
+        ("lr", float("inf")), ("lr_anneal", -5)])
+    def test_bad_field_rejected_when_built(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            NetworkConfig(**{name: value})
+
+    def test_frozen_learning_rate_is_valid(self):
+        cfg = NetworkConfig(layer_sizes=(2, 1), steps=1, lr=0.0, lr_anneal=0)
+        assert cfg.lr == 0.0 and cfg.lr_anneal == 0

@@ -18,7 +18,7 @@ from .energy import (CostModel, DEFAULT_MODEL, CalibrationError, FcLayer,
 from .quant import (QuantConfig, eta, quantize_error, quantize_weights, sigma,
                     stochastic_round, weight_range)
 from .rng import CounterRng, derive_seed
-from .snn import (LifParams, LifLayerState, NetworkConfig, bptt_gradients,
+from .snn import (LayerHistory, LifParams, NetworkConfig, bptt_gradients,
                   clean_pattern, generate_poisson_input, generate_target,
                   lif_step, run_episode, surrogate_derivative, train,
                   van_rossum, vr_filter)

@@ -76,13 +76,14 @@ _TYPE_TEXT = {
     "float": "a finite number",
     "bool": "true or false",
     "int list": "a nonempty list of integers",
+    "distinct int list": "a nonempty list of distinct integers",
     "grid axis": 'a list of at least 2 numbers or {"min", "max", "steps"} '
                  "with integer steps >= 2",
     "scheme list": f"a nonempty list of distinct names from {', '.join(FC_SCHEMES)}",
 }
-# list type -> (item type, least length)
-_LISTS = {"int list": ("int", 1), "grid axis": ("float", 2),
-          "scheme list": ("scheme", 1)}
+# list type -> (item type, least length, whether items must differ)
+_LISTS = {"int list": ("int", 1, False), "distinct int list": ("int", 1, True),
+          "grid axis": ("float", 2, False), "scheme list": ("scheme", 1, True)}
 
 # section -> key -> Key. Ranges that ConvGeometry (odd kernels), QuantConfig
 # (b_w, b_e, b_m >= 2) and NetworkConfig (layer shape, steps, tau_vr, lr,
@@ -118,7 +119,7 @@ CONFIG_KEYS = {
         "layer_sizes": Key([200, 100, 50], "int list"),
         "steps": Key(100, "int"),
         "epochs": Key(2000, "int", 0),
-        "bit_widths": Key([2, 3, 4, 5, 6], "int list"),
+        "bit_widths": Key([2, 3, 4, 5, 6], "distinct int list"),
         "schemes": Key(["CB", "PB-BMP", "PB-CSR"], "scheme list"),
         "b_e": Key(8, "int"),
         "b_m": Key(16, "int"),
@@ -241,11 +242,11 @@ def _typed(key, value):
             return None
         points = _grid_axis(typed)
     elif key.type in _LISTS:
-        item, least = _LISTS[key.type]
+        item, least, distinct = _LISTS[key.type]
         if not isinstance(value, list) or len(value) < least:
             return None
         typed = points = [_scalar(item, v) for v in value]
-        if None in typed or (item == "scheme" and len(set(typed)) < len(typed)):
+        if None in typed or (distinct and len(set(typed)) < len(typed)):
             return None
     else:
         typed = _scalar(key.type, value)

@@ -124,6 +124,7 @@ class PassEnergyReport:
     scheme: str
     active_energy: float
     leakage_energy: float
+    leak_rate: float        # summed p_leak of the trace's banks, per time unit
     per_bank: dict          # bank name -> (read_pJ, write_pJ)
     trace: AccessTrace
 
@@ -149,7 +150,8 @@ def pass_energy(trace, model, scheme=""):
         active += r_pj + w_pj
         leak_rate += model.p_leak(model.bank_capacity(bank))
     t_pass = trace.total_accesses * model.t_access
-    return PassEnergyReport(scheme, active, leak_rate * t_pass, per_bank, trace)
+    return PassEnergyReport(scheme, active, leak_rate * t_pass, leak_rate, per_bank,
+                            trace)
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,7 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
             bwd = pass_energy(bwd_t + upd_t, model, name)
             active[name] = (fwd.active_energy, bwd.active_energy)
             # the forward trace lists every bank of the layout
-            leak_rate[name] = sum(model.p_leak(model.bank_capacity(b))
-                                  for b, _, _ in fwd_t.banks())
+            leak_rate[name] = fwd.leak_rate
         ref_active = sum(active["CB"])
         ref_rate = leak_rate["CB"]
         for frac in leak_fractions:

@@ -23,16 +23,18 @@ filter (n_pre wide), the U/S/R refractory loop (n_post wide), and in
 reverse the g_u/g_r loop (n_post) and the g_p/g_q filter (n_pre). The
 synaptic products over all steps are one GEMM each: (P @ W) / eta forward,
 P^T @ G / eta for the weight gradient and G @ (W/eta)^T for the gradient
-at the layer's input. Histories are (steps, n) arrays.
+at the layer's input. An episode is recorded as one frozen LayerHistory
+of (steps, n) arrays per layer.
 
-Contract against stepping every layer with `lif_step`: the per-step
-recurrences use the same elementwise operations in the same order, so
-binary spike rasters and P histories are bit-identical. A GEMM sums in
-another order than per-step products, so membrane values and gradients
-agree to within 1e-12 relative, as do soft-mode spikes, which are smooth
-in U, and the P histories they feed. A last-bit difference in U could flip
-a spike only where U lies that close to theta; the oracle tests compare
-rasters for exact equality.
+Contract against a time-major episode that advances every layer one step
+at a time with `lif_step`: the per-step recurrences use the same
+elementwise operations in the same order, so binary spike rasters and P
+histories are bit-identical. A GEMM sums in another order than per-step
+products, so membrane values and gradients agree to within 1e-12
+relative, as do soft-mode spikes, which are smooth in U, and the P
+histories they feed. A last-bit difference in U could flip a spike only
+where U lies that close to theta; the oracle tests compare rasters for
+exact equality.
 
 Stored weights are kept on the quantized grid scaled by the power-of-two
 factor eta (scale into storage, unscale at use); gradients are normalized,
@@ -73,24 +75,14 @@ class LifParams:
             raise ValueError("beta_s must be positive")
 
 
-class LifLayerState:
-    """Mutable per-layer state plus the recorded episode history.
-
-    lif_step appends one entry per step to the history lists; run_episode
-    fills them as (steps, n) arrays. bptt_gradients reads either form.
-    """
-
-    def __init__(self, n_pre, n_post):
-        self.n_pre = n_pre
-        self.n_post = n_post
-        self.q = np.zeros(n_pre)
-        self.p = np.zeros(n_pre)
-        self.r = np.zeros(n_post)
-        self.u = np.zeros(n_post)
-        self.s = np.zeros(n_post)
-        self.u_history = []     # membrane per step, quantized to b_m when set
-        self.s_history = []
-        self.p_history = []
+@dataclass(frozen=True, eq=False)
+class LayerHistory:
+    """One layer's recorded episode: (steps, n) arrays of the presynaptic
+    trace P (n_pre wide), the membrane U (n_post, kept at b_m precision when
+    b_m is given) and the output spikes S (n_post)."""
+    p_history: np.ndarray
+    u_history: np.ndarray
+    s_history: np.ndarray
 
 
 def surrogate_derivative(u, params):
@@ -108,40 +100,23 @@ def soft_spike(u, params):
     return x / (1.0 + params.beta_s * np.abs(x)) + 0.5
 
 
-def _as_weight_matrix(w):
-    if isinstance(w, np.ndarray):
-        return w
-    return w.to_dense()    # any connectivity store
+def lif_step(p, q, r, in_spikes, w, params, layer_eta=1.0, soft=False):
+    """One time step of one layer: (u, s, p, q, r) after the step.
 
-
-def lif_step(state, in_spikes, weights, params, layer_eta=1.0, b_m=None,
-             soft=False, record=True):
-    """One time step; returns the spike vector and mutates `state`.
-
-    `weights` is an (n_pre, n_post) array or any connectivity store; values
-    are divided by layer_eta at use. Membrane history is kept at b_m
-    precision when b_m is given.
+    p, q: presynaptic traces (n_pre,); r: refractory state (n_post,);
+    w: (n_pre, n_post) weights, divided by layer_eta at use. Returns the
+    membrane and spikes of this step and the traces for the next one.
     """
-    w = _as_weight_matrix(weights)
     in_spikes = np.asarray(in_spikes, dtype=np.float64)
-    if w.shape != (state.n_pre, state.n_post):
-        raise ValueError(f"weights shape {w.shape} != ({state.n_pre}, {state.n_post})")
-    if in_spikes.shape != (state.n_pre,):
-        raise ValueError(f"input shape {in_spikes.shape} != ({state.n_pre},)")
-    u = (state.p @ w) / layer_eta - params.delta * state.r
+    if w.shape != (len(p), len(r)):
+        raise ValueError(f"weights shape {w.shape} != ({len(p)}, {len(r)})")
+    if in_spikes.shape != (len(p),):
+        raise ValueError(f"input shape {in_spikes.shape} != ({len(p)},)")
+    u = (p @ w) / layer_eta - params.delta * r
     s = soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
-    if record:
-        state.u_history.append(u if b_m is None else quantize_membrane(u, b_m))
-        state.s_history.append(s)
-        state.p_history.append(state.p.copy())
-    q_new = params.alpha * state.q + in_spikes
-    p_new = params.beta * state.p + state.q      # uses the pre-update trace
-    state.r = params.gamma * state.r + s
-    state.q = q_new
-    state.p = p_new
-    state.u = u
-    state.s = s
-    return s
+    # P[n+1] uses the pre-update Q
+    return (u, s, params.beta * p + q, params.alpha * q + in_spikes,
+            params.gamma * r + s)
 
 
 def vr_filter(raster, tau_vr):
@@ -156,14 +131,17 @@ def vr_filter(raster, tau_vr):
     return out
 
 
+def _vr_error(s, t, tau_vr):
+    """Filtered raster difference and its norm, the van Rossum distance."""
+    e = vr_filter(s, tau_vr) - vr_filter(t, tau_vr)
+    return e, np.sqrt(np.sum(e * e))
+
+
 def van_rossum(s, t, tau_vr):
     """Distance between filtered rasters: sqrt of summed squared differences."""
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if s.shape != t.shape:
-        raise ValueError(f"raster shapes differ: {s.shape} vs {t.shape}")
-    diff = vr_filter(s, tau_vr) - vr_filter(t, tau_vr)
-    return float(np.sqrt(np.sum(diff * diff)))
+    if np.shape(s) != np.shape(t):
+        raise ValueError(f"raster shapes differ: {np.shape(s)} vs {np.shape(t)}")
+    return float(_vr_error(s, t, tau_vr)[1])
 
 
 def generate_poisson_input(n, steps, rates, seed):
@@ -195,18 +173,18 @@ def generate_target(clean, p, seed):
 
 
 def _input_traces(spikes, params):
-    """P[n] for every step of a (steps, n_pre) input raster, plus the final P, Q."""
+    """P[n] for every step of a (steps, n_pre) input raster."""
     p_hist = np.empty(spikes.shape)
     q = np.zeros(spikes.shape[1])
     p = np.zeros(spikes.shape[1])
     for n in range(len(spikes)):
         p_hist[n] = p
         q, p = params.alpha * q + spikes[n], params.beta * p + q
-    return p_hist, q, p
+    return p_hist
 
 
 def _fire(drive, params, soft):
-    """Refractory loop over a (steps, n_post) synaptic drive: U, S, final R."""
+    """Refractory loop over a (steps, n_post) synaptic drive: U and S."""
     u_hist = np.empty(drive.shape)
     s_hist = np.empty(drive.shape)
     r = np.zeros(drive.shape[1])
@@ -216,19 +194,17 @@ def _fire(drive, params, soft):
         u_hist[n] = u
         s_hist[n] = s
         r = params.gamma * r + s
-    return u_hist, s_hist, r
+    return u_hist, s_hist
 
 
 def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
     """Forward simulation over a full episode, one layer at a time.
 
-    weights: list of per-layer (n_pre, n_post) arrays or connectivity stores
-    (already on their storage grid); etas: per-layer scale factors. Returns
-    the (n_out, steps) output raster and one LifLayerState per layer, whose
-    histories are (steps, n) arrays (membrane kept at b_m precision when
-    b_m is given) and whose traces are those after the last step.
+    weights: list of per-layer (n_pre, n_post) arrays (already on their
+    storage grid); etas: per-layer scale factors. Returns the (n_out, steps)
+    output raster and one LayerHistory per layer, its membrane kept at b_m
+    precision when b_m is given.
     """
-    weights = [_as_weight_matrix(w) for w in weights]
     in_raster = np.asarray(in_raster)
     if not weights:
         raise ValueError("need at least one layer")
@@ -241,24 +217,20 @@ def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
                              f"follow layer {li - 1} weights {weights[li - 1].shape}")
     etas = etas or [1.0] * len(weights)
     spikes = np.ascontiguousarray(in_raster.T, dtype=np.float64)   # (steps, n_pre)
-    states = []
+    histories = []
     for w, e in zip(weights, etas):
-        st = LifLayerState(*w.shape)
-        st.p_history, st.q, st.p = _input_traces(spikes, params)
-        u_hist, st.s_history, st.r = _fire((st.p_history @ w) / e, params, soft)
-        st.u_history = u_hist if b_m is None else quantize_membrane(u_hist, b_m)
-        if len(u_hist):
-            st.u, st.s = u_hist[-1], st.s_history[-1]
-        states.append(st)
-        spikes = st.s_history
-    return spikes.T.copy(), states
+        p_hist = _input_traces(spikes, params)
+        u_hist, spikes = _fire((p_hist @ w) / e, params, soft)
+        if b_m is not None:
+            u_hist = quantize_membrane(u_hist, b_m)
+        histories.append(LayerHistory(p_hist, u_hist, spikes))
+    return spikes.T.copy(), histories
 
 
 def _loss_spike_gradient(out_raster, target, tau_vr):
     """d(van Rossum)/d(output spikes); zero when the rasters already match."""
     lam = np.exp(-1.0 / tau_vr)
-    e = vr_filter(out_raster, tau_vr) - vr_filter(target, tau_vr)
-    vr = np.sqrt(np.sum(e * e))
+    e, vr = _vr_error(out_raster, target, tau_vr)
     if vr == 0.0:
         return np.zeros_like(e), 0.0
     e = e / vr
@@ -281,22 +253,22 @@ def _input_gradient(g_in, params):
     return g_s
 
 
-def bptt_gradients(states, weights, out_raster, target, params, tau_vr,
+def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
                    etas=None):
     """Reverse-time gradients of the van Rossum loss w.r.t. stored weights.
 
     Unrolls the recurrences backwards with the step derivative replaced by
-    surrogate_derivative, evaluated on the stored membrane history. States
-    may come from run_episode or from lif_step calls (list histories).
-    Returns one (n_pre, n_post) array per layer.
+    surrogate_derivative, evaluated on the recorded membrane history (one
+    LayerHistory per layer, as run_episode returns). Returns one
+    (n_pre, n_post) array per layer.
     """
-    if not states or len(states) != len(weights):
-        raise ValueError(f"need one recorded state per layer, got {len(states)} "
-                         f"for {len(weights)} layers")
-    steps = len(states[0].u_history)
+    if not histories or len(histories) != len(weights):
+        raise ValueError(f"need one recorded history per layer, got "
+                         f"{len(histories)} for {len(weights)} layers")
+    steps, n_out = histories[-1].u_history.shape
     if steps == 0:
         raise ValueError("episode history is empty")
-    want = (states[-1].n_post, steps)
+    want = (n_out, steps)
     for name, raster in (("out_raster", out_raster), ("target", target)):
         if np.shape(raster) != want:
             raise ValueError(f"{name} shape {np.shape(raster)} != {want} "
@@ -306,15 +278,15 @@ def bptt_gradients(states, weights, out_raster, target, params, tau_vr,
     g_s_ext = g_spikes.T      # (steps, n_out)
     grads = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
-        st = states[l]
-        h = surrogate_derivative(np.asarray(st.u_history), params)
+        hist = histories[l]
+        h = surrogate_derivative(hist.u_history, params)
         g_u = np.empty(h.shape)
-        g_r = np.zeros(st.n_post)
+        g_r = np.zeros(h.shape[1])
         for n in range(steps - 1, -1, -1):
             g_u[n] = (g_s_ext[n] + g_r) * h[n]
             g_r = params.gamma * g_r - params.delta * g_u[n]
         # d/d stored = d/d effective / eta
-        grads[l] = (np.asarray(st.p_history).T @ g_u) / etas[l]
+        grads[l] = (hist.p_history.T @ g_u) / etas[l]
         if l:
             g_s_ext = _input_gradient(g_u @ (weights[l] / etas[l]).T, params)
     return grads
@@ -439,7 +411,7 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
     traces = {s: [AccessTrace() for _ in weights] for s in schemes}
     energy = {s: [] for s in schemes}
     sparsity = []
-    out, states = run_episode(weights, in_raster, cfg.params, etas, b_m)
+    out, histories = run_episode(weights, in_raster, cfg.params, etas, b_m)
     vr_curve = [van_rossum(out, target, cfg.tau_vr)]
     diverged = False
 
@@ -448,7 +420,7 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
         # held-at-threshold neurons otherwise chatter forever
         lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal \
             else cfg.lr
-        grads = bptt_gradients(states, weights, out, target, cfg.params,
+        grads = bptt_gradients(histories, weights, out, target, cfg.params,
                                cfg.tau_vr, etas)
         # descend on the squared distance: steps shrink as the raster locks in
         vr_scale = vr_curve[-1]
@@ -461,7 +433,7 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
                     stochastic_round(stepped, sigma(quant.b_w), round_rng), lo, hi)
             else:
                 weights[li] = weights[li] - lr * vr_scale * g
-        out, states = run_episode(weights, in_raster, cfg.params, etas, b_m)
+        out, histories = run_episode(weights, in_raster, cfg.params, etas, b_m)
         vr = van_rossum(out, target, cfg.tau_vr)
         vr_curve.append(vr)
         total = sum(w.size for w in weights)

@@ -1,6 +1,7 @@
 """Time-major LIF episode and BPTT: the test oracle for the layer-major code.
 
-Every layer advances one step at a time through `lif_step`, and the reverse
+Every layer advances one step at a time through `lif_step`, carrying its own
+mutable traces and appending each step to history lists, and the reverse
 pass accumulates one outer product per step. This is the evaluation order
 the layer-major `snn.run_episode` and `snn.bptt_gradients` must reproduce:
 binary rasters exactly, membrane values and gradients to 1e-12 relative.
@@ -8,8 +9,33 @@ binary rasters exactly, membrane values and gradients to 1e-12 relative.
 
 import numpy as np
 
-from synmem.snn import LifLayerState, lif_step, surrogate_derivative
+from synmem.quant import quantize_membrane
+from synmem.snn import LayerHistory, lif_step, surrogate_derivative
 from synmem.snn import _loss_spike_gradient
+
+
+class _StepState:
+    """One layer's traces between steps and the lists it has recorded."""
+
+    def __init__(self, n_pre, n_post):
+        self.p = np.zeros(n_pre)
+        self.q = np.zeros(n_pre)
+        self.r = np.zeros(n_post)
+        self.p_list, self.u_list, self.s_list = [], [], []
+
+    def step(self, in_spikes, w, params, layer_eta, b_m, soft):
+        self.p_list.append(self.p)
+        u, s, self.p, self.q, self.r = lif_step(self.p, self.q, self.r, in_spikes,
+                                                w, params, layer_eta, soft)
+        self.u_list.append(u if b_m is None else quantize_membrane(u, b_m))
+        self.s_list.append(s)
+        return s
+
+    def history(self):
+        steps, n_pre, n_post = len(self.p_list), len(self.p), len(self.r)
+        return LayerHistory(np.array(self.p_list).reshape(steps, n_pre),
+                            np.array(self.u_list).reshape(steps, n_post),
+                            np.array(self.s_list).reshape(steps, n_post))
 
 
 def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
@@ -17,21 +43,21 @@ def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
 
     weights: list of per-layer (n_pre, n_post) arrays (already on their
     storage grid); etas: per-layer scale factors. Returns the output raster
-    and the per-layer state objects carrying the recorded history.
+    and one LayerHistory per layer.
     """
     steps = in_raster.shape[1]
     etas = etas or [1.0] * len(weights)
-    states = [LifLayerState(w.shape[0], w.shape[1]) for w in weights]
+    states = [_StepState(*w.shape) for w in weights]
     out = np.zeros((weights[-1].shape[1], steps))
     for n in range(steps):
         spikes = in_raster[:, n]
         for st, w, e in zip(states, weights, etas):
-            spikes = lif_step(st, spikes, w, params, layer_eta=e, b_m=b_m, soft=soft)
+            spikes = st.step(spikes, w, params, e, b_m, soft)
         out[:, n] = spikes
-    return out, states
+    return out, [st.history() for st in states]
 
 
-def bptt_gradients(states, weights, out_raster, target, params, tau_vr,
+def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
                    etas=None):
     """Reverse-time gradients of the van Rossum loss w.r.t. stored weights.
 
@@ -39,26 +65,27 @@ def bptt_gradients(states, weights, out_raster, target, params, tau_vr,
     surrogate_derivative, evaluated on the stored membrane history. Returns
     one (n_pre, n_post) array per layer.
     """
-    if not states or not states[0].u_history:
+    if not histories or not len(histories[0].u_history):
         raise ValueError("episode history is empty")
     etas = etas or [1.0] * len(weights)
-    steps = len(states[0].u_history)
+    steps = len(histories[0].u_history)
     g_spikes, _ = _loss_spike_gradient(out_raster, target, tau_vr)
     g_s_ext = g_spikes.T      # (steps, n_out)
     grads = [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
-        st = states[l]
+        hist = histories[l]
+        n_pre, n_post = weights[l].shape
         w_eff = weights[l] / etas[l]
         g_w = np.zeros_like(weights[l])
-        g_p_next = np.zeros(st.n_pre)
-        g_q_next = np.zeros(st.n_pre)
-        g_r_next = np.zeros(st.n_post)
-        g_s_prev = np.zeros((steps, st.n_pre))
+        g_p_next = np.zeros(n_pre)
+        g_q_next = np.zeros(n_pre)
+        g_r_next = np.zeros(n_post)
+        g_s_prev = np.zeros((steps, n_pre))
         for n in range(steps - 1, -1, -1):
             g_s_prev[n] = g_q_next           # S_in[n] feeds Q[n+1]
-            h = surrogate_derivative(st.u_history[n], params)
+            h = surrogate_derivative(hist.u_history[n], params)
             g_u = (g_s_ext[n] + g_r_next) * h
-            g_w += np.outer(st.p_history[n], g_u)
+            g_w += np.outer(hist.p_history[n], g_u)
             g_p = params.beta * g_p_next + w_eff @ g_u
             g_q = params.alpha * g_q_next + g_p_next
             g_r = params.gamma * g_r_next - params.delta * g_u

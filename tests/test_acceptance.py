@@ -215,10 +215,10 @@ def test_c08_gradient_check():
                    rng.uniform_range(-0.8, 0.8, (n_hid, n_out))]
         raster = rng.bernoulli(0.5, (n_in, steps)).astype(float)
         target = rng.bernoulli(0.3, (n_out, steps)).astype(float)
-        out, states = run_episode(weights, raster, params, soft=True)
+        out, histories = run_episode(weights, raster, params, soft=True)
         if van_rossum(out, target, 6.0) < 1e-9:
             continue
-        analytic = bptt_gradients(states, weights, out, target, params, 6.0)
+        analytic = bptt_gradients(histories, weights, out, target, params, 6.0)
         numeric = finite_difference_grads(weights, raster, target, params,
                                           6.0, eps=1e-6)
         for a, n in zip(analytic, numeric):

@@ -5,8 +5,11 @@ bench/tracer.py resolves functions by their module attribute (for example
 own `__dict__`, so a refactor that moves or renames one of them breaks
 `bench/run.py --trace 1`. The workloads' `setup` reads the config through
 `cli.load_config` and the cost model through `energy.load_cost_model`, so a
-change at the config boundary can break `bench/run.py` itself. Both run in
-a subprocess, so the tracer's wrappers never reach other tests.
+change at the config boundary can break `bench/run.py` itself. The `train`
+workload's final checks read the records `snn.run_episode` returns and
+feed them to `snn.bptt_gradients`, so a change to the episode record can
+fail `bench/run.py` after its timed loop. All three run in a subprocess,
+so the tracer's wrappers never reach other tests.
 """
 
 import os
@@ -33,6 +36,16 @@ for name in ("sweep", "train", "store"):
     workloads.WORKLOADS[name](1, sys.argv[1]).setup()
 """
 
+EPISODE_CHECKS = """
+import sys
+import synmem
+import workloads
+train = workloads.WORKLOADS["train"](1, sys.argv[1])
+rng = workloads._np_rng(1, 1)
+train._check_episode(rng)
+train._check_gradients(rng)
+"""
+
 
 def _run_with_bench_path(script, *args):
     path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")])
@@ -48,3 +61,7 @@ def test_tracer_installs_on_the_package():
 
 def test_workload_setups_run(tmp_path):
     _run_with_bench_path(SETUP, str(tmp_path))
+
+
+def test_train_workload_episode_checks_pass(tmp_path):
+    _run_with_bench_path(EPISODE_CHECKS, str(tmp_path))

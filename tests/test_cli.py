@@ -189,6 +189,7 @@ class TestConfigTable:
         ("train_frontier", {"layer_sizes": [6.5, 3]}, "train_frontier.layer_sizes"),
         ("train_frontier", {"schemes": "CB"}, "train_frontier.schemes"),
         ("train_frontier", {"schemes": ["CB", "CB"]}, "train_frontier.schemes"),
+        ("train_frontier", {"bit_widths": [4, 4]}, "train_frontier.bit_widths"),
         ("train_frontier", {"lr": float("nan")}, "train_frontier.lr"),
         ("train_frontier", {"lr": -1e-4}, "train_frontier: lr"),
     ], ids=["bit-widths-string", "n-pre-fraction", "n-pre-bool", "density-string",
@@ -196,7 +197,7 @@ class TestConfigTable:
             "axis-without-max-and-steps", "steps-null", "layer-sizes-int",
             "tau-vr-zero", "tau-vr-negative", "lr-anneal-negative",
             "epochs-negative", "layer-sizes-fraction", "schemes-string",
-            "schemes-duplicate", "lr-nan", "lr-negative"])
+            "schemes-duplicate", "bit-widths-repeated", "lr-nan", "lr-negative"])
     def test_probed_fault_is_a_config_error(self, tmp_path, capsys, section,
                                             override, names):
         base = dict(SMALL_TRAIN["train_frontier"]) if section == "train_frontier" else {}

@@ -80,7 +80,8 @@ class TestPassEnergy:
             m = simple_model(round_pow2=round_pow2)
             assert m.bank_capacity(empty) == 0
             rep = pass_energy(t, m)
-            assert rep.leakage_energy == m.p_leak(m.bank_capacity(row_ptr)) * 4
+            assert rep.leak_rate == m.p_leak(m.bank_capacity(row_ptr))
+            assert rep.leakage_energy == rep.leak_rate * 4
             assert rep.per_bank["col_idx"] == (0.0, 0.0)
 
     def test_linearity(self):

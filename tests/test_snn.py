@@ -11,38 +11,41 @@ from synmem import snn
 from synmem.matrix import SynapseMatrix
 from synmem.quant import QuantConfig, eta, quantize_weights
 from synmem.rng import CounterRng
-from synmem.snn import (LifLayerState, LifParams, NetworkConfig,
-                        bptt_gradients, clean_pattern, generate_poisson_input,
-                        generate_target, lif_step, run_episode,
-                        surrogate_derivative, train, van_rossum, vr_filter)
+from synmem.snn import (LifParams, NetworkConfig, bptt_gradients, clean_pattern,
+                        generate_poisson_input, generate_target, lif_step,
+                        run_episode, surrogate_derivative, train, van_rossum,
+                        vr_filter)
 from synmem.stores import build_csr
+
+
+def _rest(n_pre, n_post):
+    """Traces p, q and refractory state r of a layer at rest."""
+    return np.zeros(n_pre), np.zeros(n_pre), np.zeros(n_post)
 
 
 class TestLifStep:
     def test_zero_everything_stays_silent(self):
-        p = LifParams()
-        st = LifLayerState(3, 2)
-        s = lif_step(st, np.zeros(3), np.zeros((3, 2)), p)
+        u, s, _, q, _ = lif_step(*_rest(3, 2), np.zeros(3), np.zeros((3, 2)),
+                                 LifParams())
         assert np.array_equal(s, np.zeros(2))
-        assert np.array_equal(st.u, np.zeros(2))
-        assert np.array_equal(st.q, np.zeros(3))
+        assert np.array_equal(u, np.zeros(2))
+        assert np.array_equal(q, np.zeros(3))
 
     def test_threshold_is_inclusive(self):
         p = LifParams(theta=1.0, delta=0.0)
-        st = LifLayerState(1, 1)
-        st.p = np.array([1.0])
-        s = lif_step(st, np.zeros(1), np.array([[1.0]]), p)
+        _, q, r = _rest(1, 1)
+        _, s, _, _, _ = lif_step(np.array([1.0]), q, r, np.zeros(1),
+                                 np.array([[1.0]]), p)
         assert s[0] == 1.0    # u == theta spikes
 
     def test_trace_pipeline_order(self):
         # P[n+1] must use the old Q, not the refreshed one
         p = LifParams(alpha=0.5, beta=0.5)
-        st = LifLayerState(1, 1)
         w = np.zeros((1, 1))
-        lif_step(st, np.ones(1), w, p)      # q: 0->1, p uses old q=0
-        assert st.q[0] == 1.0 and st.p[0] == 0.0
-        lif_step(st, np.zeros(1), w, p)     # q: 0.5, p: 0.5*0 + 1
-        assert st.q[0] == 0.5 and st.p[0] == 1.0
+        _, _, tp, tq, r = lif_step(*_rest(1, 1), np.ones(1), w, p)
+        assert tq[0] == 1.0 and tp[0] == 0.0          # q: 0->1, p uses old q=0
+        _, _, tp, tq, _ = lif_step(tp, tq, r, np.zeros(1), w, p)
+        assert tq[0] == 0.5 and tp[0] == 1.0          # q: 0.5, p: 0.5*0 + 1
 
     def test_binary_network_reduction(self):
         # with the P <- previous spikes substitution the U/S path is a
@@ -51,9 +54,8 @@ class TestLifStep:
         rng = CounterRng(0)
         w = rng.uniform_range(-1, 1, (8, 4))
         prev_spikes = rng.bernoulli(0.5, 8).astype(np.float64)
-        st = LifLayerState(8, 4)
-        st.p = prev_spikes.copy()
-        got = lif_step(st, np.zeros(8), w, p)
+        _, q, r = _rest(8, 4)
+        _, got, _, _, _ = lif_step(prev_spikes, q, r, np.zeros(8), w, p)
         want = (prev_spikes @ w >= 1.0).astype(np.float64)
         assert np.array_equal(got, want)
 
@@ -62,10 +64,11 @@ class TestLifStep:
         p = LifParams(gamma=0.9, delta=50.0, theta=1.0)
         rng = CounterRng(1)
         w = np.abs(rng.uniform_range(0.5, 1.0, (4, 4)))
-        st = LifLayerState(4, 4)
+        tp, tq, r = _rest(4, 4)
         fired_prev = np.zeros(4)
         for n in range(30):
-            s = lif_step(st, rng.bernoulli(0.8, 4).astype(float), w, p)
+            _, s, tp, tq, r = lif_step(tp, tq, r, rng.bernoulli(0.8, 4).astype(float),
+                                       w, p)
             assert not np.any((s == 1.0) & (fired_prev == 1.0)), f"step {n}"
             fired_prev = s
 
@@ -74,45 +77,32 @@ class TestLifStep:
         # is the double geometric convolution
         #   Q[n] = sum_{k<n} alpha^k,  P[n] = sum_{m<n} beta^(n-1-m) Q[m]
         p = LifParams(alpha=0.5, beta=0.75, delta=0.0, theta=1e9)
-        st = LifLayerState(1, 1)
+        tp, tq, r = _rest(1, 1)
         w = np.array([[1.0]])
         for n in range(12):
             q_want = sum(p.alpha ** k for k in range(n))
             p_want = sum(p.beta ** (n - 1 - m) * sum(p.alpha ** k for k in range(m))
                          for m in range(n))
-            assert st.q[0] == pytest.approx(q_want, rel=1e-12)
-            assert st.p[0] == pytest.approx(p_want, rel=1e-12)
-            lif_step(st, np.ones(1), w, p)
-
-    def test_store_backed_step_matches_dense(self):
-        p = LifParams()
-        rng = CounterRng(2)
-        w = rng.uniform_range(-0.5, 0.5, (6, 5))
-        m = SynapseMatrix(np.where(np.abs(w) > 0.1, w, 0.0))
-        store = build_csr(m, 8)
-        st_a = LifLayerState(6, 5)
-        st_b = LifLayerState(6, 5)
-        spikes = rng.bernoulli(0.5, 6).astype(float)
-        for _ in range(4):
-            a = lif_step(st_a, spikes, store, p)
-            b = lif_step(st_b, spikes, store.to_dense(), p)
-            assert np.array_equal(a, b)
+            assert tq[0] == pytest.approx(q_want, rel=1e-12)
+            assert tp[0] == pytest.approx(p_want, rel=1e-12)
+            _, _, tp, tq, r = lif_step(tp, tq, r, np.ones(1), w, p)
 
     def test_membrane_history_quantization(self):
         p = LifParams()
-        st = LifLayerState(2, 2)
-        st.p = np.array([0.333, 0.777])
-        lif_step(st, np.zeros(2), np.eye(2) * 0.9, p, b_m=4)
+        raster = CounterRng(2).bernoulli(0.6, (2, 12))
+        w = [np.eye(2) * 0.9]
         grid = 2.0 ** (1 - 4)
-        assert np.allclose(st.u_history[0] / grid,
-                           np.round(st.u_history[0] / grid))
+        _, full = run_episode(w, raster, p)
+        _, held = run_episode(w, raster, p, b_m=4)
+        u_full, u = full[0].u_history, held[0].u_history
+        assert not np.allclose(u_full / grid, np.round(u_full / grid))
+        assert np.allclose(u / grid, np.round(u / grid))
 
     def test_dimension_mismatch(self):
-        st = LifLayerState(3, 2)
         with pytest.raises(ValueError):
-            lif_step(st, np.zeros(4), np.zeros((3, 2)), LifParams())
+            lif_step(*_rest(3, 2), np.zeros(4), np.zeros((3, 2)), LifParams())
         with pytest.raises(ValueError):
-            lif_step(st, np.zeros(3), np.zeros((2, 2)), LifParams())
+            lif_step(*_rest(3, 2), np.zeros(3), np.zeros((2, 2)), LifParams())
 
 
 class TestSurrogate:
@@ -242,8 +232,8 @@ class TestGradients:
         rng = CounterRng(6)
         w = [rng.uniform_range(-0.4, 0.4, (4, 3))]
         raster = rng.bernoulli(0.4, (4, 6)).astype(float)
-        out, states = run_episode(w, raster, LifParams())
-        grads = bptt_gradients(states, w, out, out.copy(), LifParams(), 8.0)
+        out, histories = run_episode(w, raster, LifParams())
+        grads = bptt_gradients(histories, w, out, out.copy(), LifParams(), 8.0)
         assert np.allclose(grads[0], 0.0)
 
     def test_hand_unrolled_two_step_single_synapse(self):
@@ -253,17 +243,17 @@ class TestGradients:
         w_val = 0.8
         w = [np.array([[w_val]])]
         raster = np.array([[1.0, 0.0]])
-        out, states = run_episode(w, raster, params, soft=True)
+        out, histories = run_episode(w, raster, params, soft=True)
         target = np.zeros((1, 2))
-        grads = bptt_gradients(states, w, out, target, params, 5.0)
+        grads = bptt_gradients(histories, w, out, target, params, 5.0)
         # by hand: P[0]=0 and P[1]=beta*0+Q[0]=0, so dU[n]/dw = P[n] = 0 at
         # both steps and the two-step gradient vanishes
         assert grads[0][0, 0] == pytest.approx(0.0, abs=1e-12)
         # three steps: P[2] = beta*P[1] + Q[1] = 1 -> dU[2]/dw = 1
         raster = np.array([[1.0, 0.0, 0.0]])
-        out, states = run_episode(w, raster, params, soft=True)
+        out, histories = run_episode(w, raster, params, soft=True)
         target = np.zeros((1, 3))
-        grads = bptt_gradients(states, w, out, target, params, 5.0)
+        grads = bptt_gradients(histories, w, out, target, params, 5.0)
         lam = np.exp(-1.0 / 5.0)
         v = vr_filter(out, 5.0)[0]
         vr = np.sqrt(np.sum(v * v))
@@ -282,10 +272,10 @@ class TestGradients:
                    for a, b in zip(sizes[:-1], sizes[1:])]
         raster = rng.bernoulli(0.5, (sizes[0], steps)).astype(float)
         target = rng.bernoulli(0.3, (sizes[-1], steps)).astype(float)
-        out, states = run_episode(weights, raster, params, soft=True)
+        out, histories = run_episode(weights, raster, params, soft=True)
         if van_rossum(out, target, 6.0) < 1e-9:
             pytest.skip("degenerate zero-loss draw")
-        analytic = bptt_gradients(states, weights, out, target, params, 6.0)
+        analytic = bptt_gradients(histories, weights, out, target, params, 6.0)
         numeric = finite_difference_grads(weights, raster, target, params,
                                           6.0, eps=1e-6)
         for a, n in zip(analytic, numeric):
@@ -299,38 +289,26 @@ class TestGradients:
 
     def test_state_per_layer_required(self):
         w = [np.zeros((3, 2)), np.zeros((2, 2))]
-        out, states = run_episode(w, np.ones((3, 4)), LifParams())
+        out, histories = run_episode(w, np.ones((3, 4)), LifParams())
         with pytest.raises(ValueError):
-            bptt_gradients(states[1:], w, out, out, LifParams(), 5.0)
+            bptt_gradients(histories[1:], w, out, out, LifParams(), 5.0)
 
     def test_zero_step_history_rejected(self):
         w = [np.zeros((3, 2))]
-        out, states = run_episode(w, np.zeros((3, 0)), LifParams())
+        out, histories = run_episode(w, np.zeros((3, 0)), LifParams())
         with pytest.raises(ValueError):
-            bptt_gradients(states, w, out, out, LifParams(), 5.0)
+            bptt_gradients(histories, w, out, out, LifParams(), 5.0)
 
     @pytest.mark.parametrize("which", ("out_raster", "target"))
     @pytest.mark.parametrize("shape", ((2, 3), (2, 5), (3, 4), (8,)))
     def test_raster_must_match_recorded_history(self, which, shape):
         # shorter rasters used to raise IndexError, longer ones were cut
         w = [np.full((3, 2), 0.5)]
-        out, states = run_episode(w, np.ones((3, 4)), LifParams())
+        out, histories = run_episode(w, np.ones((3, 4)), LifParams())
         rasters = {"out_raster": out, "target": out.copy(), which: np.zeros(shape)}
         with pytest.raises(ValueError):
-            bptt_gradients(states, w, rasters["out_raster"], rasters["target"],
+            bptt_gradients(histories, w, rasters["out_raster"], rasters["target"],
                            LifParams(), 5.0)
-
-    def test_accepts_lif_step_history(self):
-        # list histories from one-step calls feed the layer-major reverse pass
-        rng = CounterRng(7)
-        w = [rng.uniform_range(-1, 1, (5, 4))]
-        raster = rng.bernoulli(0.5, (5, 12)).astype(float)
-        target = rng.bernoulli(0.3, (4, 12)).astype(float)
-        out, states = reference_snn.run_episode(w, raster, LifParams())
-        assert isinstance(states[0].u_history, list)
-        got = bptt_gradients(states, w, out, target, LifParams(), 5.0)
-        want = reference_snn.bptt_gradients(states, w, out, target, LifParams(), 5.0)
-        assert _rel_diff(got[0], want[0]) <= 1e-12
 
 
 class TestEpisodeShapes:
@@ -359,34 +337,31 @@ def _rel_diff(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _check_against_oracle(weights, raster, target, params, etas, b_m, soft,
-                          dense=None):
+def _check_against_oracle(weights, raster, target, params, etas, b_m, soft):
     """Layer-major episode and BPTT against the time-major oracle.
 
     Binary rasters and P histories exactly; membrane values, gradients and
     soft-mode spikes (with the P histories they feed) to 1e-12 relative.
-    `dense` gives the oracle dense copies of store-backed weights.
     """
-    dense = dense or weights
-    out, states = run_episode(weights, raster, params, etas, b_m=b_m, soft=soft)
-    ref_out, ref_states = reference_snn.run_episode(dense, raster, params, etas,
-                                                    b_m=b_m, soft=soft)
-    for li, (st, ref) in enumerate(zip(states, ref_states)):
+    out, histories = run_episode(weights, raster, params, etas, b_m=b_m, soft=soft)
+    ref_out, ref_histories = reference_snn.run_episode(weights, raster, params, etas,
+                                                       b_m=b_m, soft=soft)
+    for li, (hist, ref) in enumerate(zip(histories, ref_histories)):
         if soft and li:
-            assert _rel_diff(st.p_history, ref.p_history) <= 1e-12
+            assert _rel_diff(hist.p_history, ref.p_history) <= 1e-12
         else:
-            assert np.array_equal(st.p_history, np.array(ref.p_history))
+            assert np.array_equal(hist.p_history, ref.p_history)
         if soft:
-            assert _rel_diff(st.s_history, ref.s_history) <= 1e-12
+            assert _rel_diff(hist.s_history, ref.s_history) <= 1e-12
         else:
-            assert np.array_equal(st.s_history, np.array(ref.s_history))
-        assert _rel_diff(st.u_history, ref.u_history) <= 1e-12
+            assert np.array_equal(hist.s_history, ref.s_history)
+        assert _rel_diff(hist.u_history, ref.u_history) <= 1e-12
     if soft:
         assert _rel_diff(out, ref_out) <= 1e-12
     else:
         assert np.array_equal(out, ref_out)
-    grads = bptt_gradients(states, dense, out, target, params, 6.0, etas)
-    ref_grads = reference_snn.bptt_gradients(ref_states, dense, ref_out, target,
+    grads = bptt_gradients(histories, weights, out, target, params, 6.0, etas)
+    ref_grads = reference_snn.bptt_gradients(ref_histories, weights, ref_out, target,
                                              params, 6.0, etas)
     for g, ref in zip(grads, ref_grads):
         assert _rel_diff(g, ref) <= 1e-12
@@ -416,14 +391,13 @@ class TestLayerMajorOracle:
         etas = [e] * len(weights)
         raster = rng.bernoulli(0.5, (sizes[0], steps))
         target = rng.bernoulli(0.3, (sizes[-1], steps)).astype(float)
-        dense = None
         if net["store"]:
-            # 6-bit words hold weights up to 31/32; eta rescales at use
-            stores = [build_csr(SynapseMatrix(np.where(np.abs(w) > 0.2 * e, w / e, 0.0)), 6)
-                      for w in weights]
-            weights, dense = stores, [s.to_dense() for s in stores]
+            # weights read back from a sparse store: 6-bit words hold values
+            # up to 31/32, and eta rescales at use
+            kept = [np.where(np.abs(w) > 0.2 * e, w / e, 0.0) for w in weights]
+            weights = [build_csr(SynapseMatrix(k), 6).to_dense() for k in kept]
         _check_against_oracle(weights, raster, target, LifParams(), etas,
-                              net["b_m"], net["soft"], dense)
+                              net["b_m"], net["soft"])
 
     @pytest.mark.parametrize("b_w", (2, 3, 4, 5, 6))
     @pytest.mark.parametrize("seed", (0, 1))

@@ -21,5 +21,5 @@ from .rng import CounterRng, derive_seed
 from .snn import (LayerHistory, LifParams, NetworkConfig, bptt_gradients,
                   clean_pattern, generate_poisson_input, generate_target,
                   lif_step, run_episode, surrogate_derivative, train,
-                  van_rossum, vr_filter)
+                  train_cells, van_rossum, vr_filter)
 from .serialize import ContainerError, from_bytes, summary, to_bytes

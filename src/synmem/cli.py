@@ -36,7 +36,7 @@ from .conv import ConvGeometry
 from .energy import (ConvLayer, FcLayer, layer_sweep, load_cost_model,
                      pass_energy_call_count, sweep_density_leakage)
 from .quant import QuantConfig
-from .snn import NetworkConfig, train
+from .snn import NetworkConfig, train_cells
 from .stores import FC_SCHEMES
 
 
@@ -93,7 +93,7 @@ CONFIG_KEYS = {
         "n_pre": Key(728, "int", 1),
         "n_post": Key(128, "int", 1),
         "density": Key(0.75, "float", 0.0, 1.0),
-        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "int list", 1),
+        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "distinct int list", 1),
         "w_word": Key(32, "int", 1, 64),
     },
     "conv_sweep": {
@@ -103,7 +103,7 @@ CONFIG_KEYS = {
         "k_w": Key(3, "int", 1),
         "c_in": Key(32, "int", 1),
         "c_out": Key(32, "int", 1),
-        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "int list", 1),
+        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "distinct int list", 1),
         "include_crossbar": Key(False, "bool"),
     },
     "density_leak_grid": {
@@ -363,11 +363,11 @@ def cmd_train_frontier(cfg, out_dir, seed):
     frontier = []
     outputs = {"frontier.csv": (FRONTIER_SCHEMA, frontier)}
     diverged_cells = 0
-    for quant in quants:
+    # one numeric run per bit width, all widths in one batch: spike dynamics
+    # do not depend on the encoding, only the energy accounting does
+    results = train_cells(net, schemes, quants, sec["epochs"], seed, model)
+    for quant, result in zip(quants, results):
         b_w = quant.b_w
-        # one numeric run per bit width: spike dynamics do not depend on the
-        # encoding, only the energy accounting does
-        result = train(net, schemes, quant, sec["epochs"], seed, model)
         for scheme in schemes:
             frontier.append({
                 "scheme": scheme,

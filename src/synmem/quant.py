@@ -66,14 +66,18 @@ def stochastic_round(x, step, rng):
 
     floor(x/step)*step with probability 1 - frac(x/step), else one step up.
     """
+    x = np.asarray(x, dtype=np.float64)
+    return stochastic_round_with(x, step, rng.uniform(x.shape if x.shape else None))
+
+
+def stochastic_round_with(x, step, u):
+    """stochastic_round with its uniforms given: u in [0, 1), broadcast
+    against x, so one block of draws can round several arrays alike."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    x = np.asarray(x, dtype=np.float64)
-    q = x / step
+    q = np.asarray(x, dtype=np.float64) / step
     lo = np.floor(q)
-    frac = q - lo
-    up = rng.uniform(x.shape if x.shape else None) < frac
-    return (lo + up) * step
+    return (lo + (u < q - lo)) * step
 
 
 @dataclass(frozen=True)

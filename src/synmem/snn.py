@@ -40,8 +40,21 @@ Stored weights are kept on the quantized grid scaled by the power-of-two
 factor eta (scale into storage, unscale at use); gradients are normalized,
 clipped and quantized, then applied with stochastic rounding onto the grid.
 
-A training run is single-threaded and deterministic under its seed; sweep
-cells derive independent seeds and can run in parallel.
+Training runs as a batch of cells, one per weight precision, all on the
+same seed: they share the input raster, the target, the layer shapes, the
+lr schedule and their stochastic-rounding draws (each cell would draw the
+same uniforms from the same stream), and differ only in their weights and
+scale factors. A batch record is time-major, (steps, cells, n) per layer,
+so each step's slice is one contiguous row over every cell's neurons. The
+first layer's P history and the filtered target are made once per run,
+one block of rounding uniforms per layer and epoch serves every cell, the
+per-step loops step all cells at once, and the synaptic products are one
+stacked GEMM over a (cells, n_pre, n_post) weight stack.
+Every elementwise op is the one a single cell would make, and every
+reduction (the van Rossum sum, the error peak, the zero counts) runs on
+one cell's own contiguous block, so each cell's bytes equal a run of that
+cell alone. `run_episode`, `bptt_gradients` and `van_rossum` are the
+one-cell views of the same code. A run is deterministic under its seed.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +63,7 @@ import numpy as np
 
 from .energy import DEFAULT_MODEL, pass_energy
 from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
-                    sigma, stochastic_round, weight_range)
+                    sigma, stochastic_round_with, weight_range)
 from .rng import CounterRng, derive_seed
 from .stores import FC_SCHEMES, fc_pass_traces
 from .trace import AccessTrace
@@ -79,7 +92,9 @@ class LifParams:
 class LayerHistory:
     """One layer's recorded episode: (steps, n) arrays of the presynaptic
     trace P (n_pre wide), the membrane U (n_post, kept at b_m precision when
-    b_m is given) and the output spikes S (n_post)."""
+    b_m is given) and the output spikes S (n_post). Inside a training batch
+    each array is (steps, cells, n); the first layer's P, which every cell
+    shares, has a cell axis of length 1."""
     p_history: np.ndarray
     u_history: np.ndarray
     s_history: np.ndarray
@@ -119,29 +134,52 @@ def lif_step(p, q, r, in_spikes, w, params, layer_eta=1.0, soft=False):
             params.gamma * r + s)
 
 
-def vr_filter(raster, tau_vr):
-    """Leaky accumulation of a (neurons, steps) raster, decay exp(-1/tau)."""
-    raster = np.asarray(raster, dtype=np.float64)
-    lam = np.exp(-1.0 / tau_vr)
-    out = np.empty_like(raster)
-    acc = np.zeros(raster.shape[0])
-    for n in range(raster.shape[1]):
-        acc = lam * acc + raster[:, n]
+def _leaky_sum(x, lam, order):
+    """acc = lam * acc + x[:, n] over the steps of a (neurons, steps) array
+    in `order`; each step's acc is stored at n."""
+    out = np.empty_like(x)
+    acc = np.zeros(x.shape[0])
+    for n in order:
+        acc = lam * acc + x[:, n]
         out[:, n] = acc
     return out
 
 
-def _vr_error(s, t, tau_vr):
-    """Filtered raster difference and its norm, the van Rossum distance."""
-    e = vr_filter(s, tau_vr) - vr_filter(t, tau_vr)
-    return e, np.sqrt(np.sum(e * e))
+def vr_filter(raster, tau_vr):
+    """Leaky accumulation of a (neurons, steps) raster, decay exp(-1/tau)."""
+    raster = np.asarray(raster, dtype=np.float64)
+    return _leaky_sum(raster, np.exp(-1.0 / tau_vr), range(raster.shape[1]))
+
+
+def _distances(e):
+    """van Rossum distance per cell of filtered errors e (cells, n, steps):
+    sqrt of the cell's own summed squares."""
+    return np.array([np.sqrt(np.sum(sq)) for sq in e * e])
+
+
+def _loss(s_history, target_filtered, tau_vr):
+    """Per-cell van Rossum distances of a batch's output spikes
+    (steps, cells, n_out) from the filtered target, and d(distance)/d(output
+    spikes), time-major; zero for a cell whose rasters already match.
+    One vr_filter pass runs over every cell's neurons at once."""
+    steps, cells, n_out = s_history.shape
+    out = s_history.transpose(1, 2, 0).reshape(cells * n_out, steps)
+    e = vr_filter(out, tau_vr).reshape(cells, n_out, steps) - target_filtered
+    vr = _distances(e)
+    matched = vr == 0.0
+    e /= np.where(matched, 1.0, vr)[:, None, None]
+    g = _leaky_sum(e.reshape(cells * n_out, steps), np.exp(-1.0 / tau_vr),
+                   range(steps - 1, -1, -1)).reshape(cells, n_out, steps)
+    g[matched] = 0.0
+    return vr, np.ascontiguousarray(g.transpose(2, 0, 1))
 
 
 def van_rossum(s, t, tau_vr):
     """Distance between filtered rasters: sqrt of summed squared differences."""
     if np.shape(s) != np.shape(t):
         raise ValueError(f"raster shapes differ: {np.shape(s)} vs {np.shape(t)}")
-    return float(_vr_error(s, t, tau_vr)[1])
+    e = vr_filter(s, tau_vr) - vr_filter(t, tau_vr)
+    return float(_distances(e[None])[0])
 
 
 def generate_poisson_input(n, steps, rates, seed):
@@ -173,10 +211,10 @@ def generate_target(clean, p, seed):
 
 
 def _input_traces(spikes, params):
-    """P[n] for every step of a (steps, n_pre) input raster."""
+    """P[n] for every step of a (steps, cells, n_pre) input raster."""
     p_hist = np.empty(spikes.shape)
-    q = np.zeros(spikes.shape[1])
-    p = np.zeros(spikes.shape[1])
+    q = np.zeros(spikes.shape[1:])
+    p = np.zeros(q.shape)
     for n in range(len(spikes)):
         p_hist[n] = p
         q, p = params.alpha * q + spikes[n], params.beta * p + q
@@ -184,10 +222,10 @@ def _input_traces(spikes, params):
 
 
 def _fire(drive, params, soft):
-    """Refractory loop over a (steps, n_post) synaptic drive: U and S."""
+    """Refractory loop over a (steps, cells, n_post) synaptic drive: U and S."""
     u_hist = np.empty(drive.shape)
     s_hist = np.empty(drive.shape)
-    r = np.zeros(drive.shape[1])
+    r = np.zeros(drive.shape[1:])
     for n in range(len(drive)):
         u = drive[n] - params.delta * r
         s = soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
@@ -195,6 +233,38 @@ def _fire(drive, params, soft):
         s_hist[n] = s
         r = params.gamma * r + s
     return u_hist, s_hist
+
+
+def _stacked_matmul(a, b):
+    """Each cell's product of a time-major (steps, cells, k) array, or one
+    shared by every cell (cell axis 1), with its (k, n) matrix of a
+    (cells, k, n) stack: one stacked GEMM, time-major result."""
+    out = np.empty((len(a), len(b), b.shape[2]))
+    np.matmul(a.swapaxes(0, 1), b, out=out.swapaxes(0, 1))
+    return out
+
+
+def _episode(p_first, weights, etas, b_ms, params, soft=False):
+    """Forward simulation of a batch of cells, one layer at a time.
+
+    p_first: the first layer's (steps, 1, n_pre) P history, shared by every
+    cell; weights: per-layer (cells, n_pre, n_post) stacks; etas: per-layer
+    (cells,) scale factors; b_ms: per-cell membrane precision or None.
+    Returns one time-major LayerHistory per layer.
+    """
+    histories = []
+    p_hist = p_first
+    for li, (w, e) in enumerate(zip(weights, etas)):
+        if li:
+            p_hist = _input_traces(spikes, params)
+        drive = _stacked_matmul(p_hist, w)
+        drive /= e[:, None]
+        u_hist, spikes = _fire(drive, params, soft)
+        for c, b_m in enumerate(b_ms):
+            if b_m is not None:
+                u_hist[:, c] = quantize_membrane(u_hist[:, c], b_m)
+        histories.append(LayerHistory(p_hist, u_hist, spikes))
+    return histories
 
 
 def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
@@ -216,41 +286,54 @@ def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
             raise ValueError(f"layer {li} weights {weights[li].shape} do not "
                              f"follow layer {li - 1} weights {weights[li - 1].shape}")
     etas = etas or [1.0] * len(weights)
-    spikes = np.ascontiguousarray(in_raster.T, dtype=np.float64)   # (steps, n_pre)
-    histories = []
-    for w, e in zip(weights, etas):
-        p_hist = _input_traces(spikes, params)
-        u_hist, spikes = _fire((p_hist @ w) / e, params, soft)
-        if b_m is not None:
-            u_hist = quantize_membrane(u_hist, b_m)
-        histories.append(LayerHistory(p_hist, u_hist, spikes))
-    return spikes.T.copy(), histories
-
-
-def _loss_spike_gradient(out_raster, target, tau_vr):
-    """d(van Rossum)/d(output spikes); zero when the rasters already match."""
-    lam = np.exp(-1.0 / tau_vr)
-    e, vr = _vr_error(out_raster, target, tau_vr)
-    if vr == 0.0:
-        return np.zeros_like(e), 0.0
-    e = e / vr
-    g = np.zeros_like(e)
-    acc = np.zeros(e.shape[0])
-    for n in range(e.shape[1] - 1, -1, -1):
-        acc = lam * acc + e[:, n]
-        g[:, n] = acc
-    return g, float(vr)
+    spikes = np.ascontiguousarray(in_raster.T, dtype=np.float64)[:, None]
+    histories = _episode(_input_traces(spikes, params), [w[None] for w in weights],
+                         [np.array([e], dtype=np.float64) for e in etas], [b_m],
+                         params, soft)
+    histories = [LayerHistory(h.p_history[:, 0], h.u_history[:, 0], h.s_history[:, 0])
+                 for h in histories]
+    return histories[-1].s_history.T.copy(), histories
 
 
 def _input_gradient(g_in, params):
     """Reverse P/Q filter: dL/dS_in[n] from g_in[n] = dL/dP[n] via U[n]."""
     g_s = np.empty(g_in.shape)
-    g_p = np.zeros(g_in.shape[1])
-    g_q = np.zeros(g_in.shape[1])
+    g_p = np.zeros(g_in.shape[1:])
+    g_q = np.zeros(g_p.shape)
     for n in range(len(g_in) - 1, -1, -1):
         g_s[n] = g_q                            # S_in[n] feeds Q[n+1]
         g_p, g_q = params.beta * g_p + g_in[n], params.alpha * g_q + g_p
     return g_s
+
+
+def _gradients(histories, weights, etas, g_s_ext, params):
+    """Reverse-time weight gradients of a batch of cells.
+
+    histories, weights and etas as _episode takes and gives them; g_s_ext:
+    dL/dS of the output layer, (steps, cells, n_out). Empties `histories`,
+    dropping each layer's record once its gradient is made, which bounds
+    peak memory. Returns one (cells, n_pre, n_post) stack per layer.
+    """
+    grads = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        p_hist = histories[-1].p_history
+        h = surrogate_derivative(histories.pop().u_history, params)
+        g_u = np.empty(h.shape)
+        g_r = np.zeros(h.shape[1:])
+        for n in range(len(h) - 1, -1, -1):
+            g_u[n] = (g_s_ext[n] + g_r) * h[n]
+            g_r = params.gamma * g_r - params.delta * g_u[n]
+        del h, g_s_ext
+        # d/d stored = d/d effective / eta
+        e = etas[l][:, None, None]
+        grads[l] = np.matmul(p_hist.transpose(1, 2, 0), g_u.swapaxes(0, 1))
+        grads[l] /= e
+        del p_hist
+        if l:
+            g_s_ext = _input_gradient(
+                _stacked_matmul(g_u, (weights[l] / e).swapaxes(1, 2)), params)
+        del g_u
+    return grads
 
 
 def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
@@ -274,22 +357,13 @@ def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
             raise ValueError(f"{name} shape {np.shape(raster)} != {want} "
                              f"of the recorded history")
     etas = etas or [1.0] * len(weights)
-    g_spikes, _ = _loss_spike_gradient(out_raster, target, tau_vr)
-    g_s_ext = g_spikes.T      # (steps, n_out)
-    grads = [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
-        hist = histories[l]
-        h = surrogate_derivative(hist.u_history, params)
-        g_u = np.empty(h.shape)
-        g_r = np.zeros(h.shape[1])
-        for n in range(steps - 1, -1, -1):
-            g_u[n] = (g_s_ext[n] + g_r) * h[n]
-            g_r = params.gamma * g_r - params.delta * g_u[n]
-        # d/d stored = d/d effective / eta
-        grads[l] = (hist.p_history.T @ g_u) / etas[l]
-        if l:
-            g_s_ext = _input_gradient(g_u @ (weights[l] / etas[l]).T, params)
-    return grads
+    _, g_out = _loss(np.asarray(out_raster).T[:, None], vr_filter(target, tau_vr),
+                     tau_vr)
+    grads = _gradients([LayerHistory(h.p_history[:, None], h.u_history[:, None],
+                                     h.s_history[:, None]) for h in histories],
+                       [w[None] for w in weights],
+                       [np.array([e], dtype=np.float64) for e in etas], g_out, params)
+    return [g[0] for g in grads]
 
 
 @dataclass
@@ -366,22 +440,48 @@ def _epoch_energy(weights, schemes, steps, quant, cost_model, traces, energy):
         energy[scheme].append((fwd_pj, bwd_pj))
 
 
-def train(cfg, scheme, quant, epochs, seed, cost_model=None):
-    """Gradient-descent pattern retention with per-epoch energy accounting.
+def _descend(weights, grads, quants, training, etas, lr, vr, round_rng):
+    """Apply one epoch's gradients in place to the cells in `training`.
 
-    scheme: one of "CB", "PB-CSR", "PB-BMP", or a list of them (the spike
-    dynamics do not depend on the encoding, so one numeric run can be
-    accounted under several schemes). quant=None trains in full precision.
-    Aborts with diverged=True if the distance stops being finite.
+    A quantized cell steps by its quantized gradient, scaled by eta, and is
+    rounded stochastically back onto its grid; one block of uniforms per
+    layer serves every quantized cell. A full-precision cell descends on
+    the squared distance, so its steps shrink as the raster locks in.
+    """
+    for li, g in enumerate(grads):
+        u = round_rng.uniform(g.shape[1:]) if any(quants[c] for c in training) else None
+        for c in training:
+            q = quants[c]
+            if q:
+                stepped = weights[li][c] - lr * etas[li][c] * quantize_error(g[c], q.b_e)
+                lo, hi = weight_range(q.b_w)
+                weights[li][c] = np.clip(stochastic_round_with(stepped, sigma(q.b_w), u),
+                                         lo, hi)
+            else:
+                weights[li][c] = weights[li][c] - lr * float(vr[c]) * g[c]
+
+
+def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
+    """Gradient-descent pattern retention with per-epoch energy accounting,
+    one cell per entry of `quants`, trained as one batch.
+
+    schemes: one of "CB", "PB-CSR", "PB-BMP", or a list of them (the spike
+    dynamics do not depend on the encoding, so one numeric run is accounted
+    under every scheme). quants: one QuantConfig per cell, or None for a
+    full-precision cell. Every cell trains on the same seed, so the cells
+    share their inputs, target and rounding draws, and each cell's
+    TrainResult equals a run of that cell alone. Returns one TrainResult
+    per cell, in the order of `quants`.
     """
     if cost_model is None:
         cost_model = DEFAULT_MODEL
-    schemes = [scheme] if isinstance(scheme, str) else list(scheme)
+    schemes = [schemes] if isinstance(schemes, str) else list(schemes)
     for s in schemes:
         if s not in FC_SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"duplicate schemes in {schemes}")
+    quants = list(quants)
 
     sizes = cfg.layer_sizes
     rng = CounterRng(seed)
@@ -391,58 +491,69 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
     clean = clean_pattern(sizes[-1], cfg.steps, derive_seed(seed, 2),
                           cfg.pattern_period, cfg.pattern_band)
     target = generate_target(clean, cfg.target_keep_p, derive_seed(seed, 3))
+    # the input raster and the target never change: their traces are made once
+    p_first = _input_traces(
+        np.ascontiguousarray(in_raster.T, dtype=np.float64)[:, None], cfg.params)
+    target_filtered = vr_filter(target, cfg.tau_vr)
 
-    weights = []
-    etas = []
+    weights = []       # per layer, (cells, n_pre, n_post)
+    etas = []          # per layer, one float per cell
     for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w_rng = rng.spawn(10 + li)
         bound = np.sqrt(3.0 / n_in)
-        w = w_rng.uniform_range(-bound, bound, (n_in, n_out))
-        if quant:
-            e = eta(quant.b_w, n_in)
-            weights.append(quantize_weights(w * e, quant.b_w))
-            etas.append(e)
-        else:
-            weights.append(w)
-            etas.append(1.0)
+        w = rng.spawn(10 + li).uniform_range(-bound, bound, (n_in, n_out))
+        etas.append([eta(q.b_w, n_in) if q else 1.0 for q in quants])
+        weights.append(np.stack([quantize_weights(w * e, q.b_w) if q else w
+                                 for q, e in zip(quants, etas[li])]))
+    eta_cells = [np.array(e) for e in etas]
     round_rng = rng.spawn(99)
-    b_m = quant.b_m if quant else None
+    b_ms = [q.b_m if q else None for q in quants]
 
-    traces = {s: [AccessTrace() for _ in weights] for s in schemes}
-    energy = {s: [] for s in schemes}
-    sparsity = []
-    out, histories = run_episode(weights, in_raster, cfg.params, etas, b_m)
-    vr_curve = [van_rossum(out, target, cfg.tau_vr)]
-    diverged = False
+    results = [TrainResult([], {s: [] for s in schemes},
+                           {s: [AccessTrace() for _ in weights] for s in schemes},
+                           [], None) for _ in quants]
+    histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
+    vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
+    for res, v in zip(results, vr):
+        res.vr_curve.append(float(v))
+    training = list(range(len(quants)))
 
     for epoch in range(epochs):
+        if not training:
+            break
         # linear anneal to zero freezes the raster once learning is done;
         # held-at-threshold neurons otherwise chatter forever
         lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal \
             else cfg.lr
-        grads = bptt_gradients(histories, weights, out, target, cfg.params,
-                               cfg.tau_vr, etas)
-        # descend on the squared distance: steps shrink as the raster locks in
-        vr_scale = vr_curve[-1]
-        for li, g in enumerate(grads):
-            if quant:
-                g_q = quantize_error(g, quant.b_e)
-                stepped = weights[li] - lr * etas[li] * g_q
-                lo, hi = weight_range(quant.b_w)
-                weights[li] = np.clip(
-                    stochastic_round(stepped, sigma(quant.b_w), round_rng), lo, hi)
-            else:
-                weights[li] = weights[li] - lr * vr_scale * g
-        out, histories = run_episode(weights, in_raster, cfg.params, etas, b_m)
-        vr = van_rossum(out, target, cfg.tau_vr)
-        vr_curve.append(vr)
-        total = sum(w.size for w in weights)
-        zeros = sum(int((w == 0.0).sum()) for w in weights)
-        sparsity.append(zeros / total)
-        _epoch_energy(weights, schemes, cfg.steps, quant, cost_model,
-                      traces, energy)
-        if not np.isfinite(vr):
-            diverged = True
-            break
+        _descend(weights, _gradients(histories, weights, eta_cells, g_out, cfg.params),
+                 quants, training, etas, lr, vr, round_rng)
+        histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
+        vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
+        for c in list(training):
+            res = results[c]
+            cell = [w[c] for w in weights]
+            res.vr_curve.append(float(vr[c]))
+            res.sparsity.append(sum(int((w == 0.0).sum()) for w in cell)
+                                / sum(w.size for w in cell))
+            _epoch_energy(cell, schemes, cfg.steps, quants[c], cost_model,
+                          res.traces, res.energy)
+            if not np.isfinite(vr[c]):
+                # the cell's weights stop here; the rest of the batch trains on
+                res.diverged = True
+                training.remove(c)
 
-    return TrainResult(vr_curve, energy, traces, sparsity, weights, diverged)
+    for c, res in enumerate(results):
+        res.weights = [w[c] for w in weights]
+    return results
+
+
+def train(cfg, scheme, quant, epochs, seed, cost_model=None):
+    """Gradient-descent pattern retention with per-epoch energy accounting:
+    the one-cell call of train_cells.
+
+    scheme: one of "CB", "PB-CSR", "PB-BMP", or a list of them. quant=None
+    trains in full precision. A run stops with diverged=True if the distance
+    stops being finite. With binary (hard-mode) spikes it cannot: the
+    distance is between two binary rasters, so it stays finite whatever
+    the weights do.
+    """
+    return train_cells(cfg, scheme, [quant], epochs, seed, cost_model)[0]

@@ -1,17 +1,47 @@
-"""Time-major LIF episode and BPTT: the test oracle for the layer-major code.
+"""Time-major LIF episode, BPTT and quantized training: the test oracle for
+the layer-major, batched code.
 
 Every layer advances one step at a time through `lif_step`, carrying its own
 mutable traces and appending each step to history lists, and the reverse
 pass accumulates one outer product per step. This is the evaluation order
 the layer-major `snn.run_episode` and `snn.bptt_gradients` must reproduce:
 binary rasters exactly, membrane values and gradients to 1e-12 relative.
+`train` trains one quantized cell with them, one epoch after another.
 """
 
 import numpy as np
 
-from synmem.quant import quantize_membrane
-from synmem.snn import LayerHistory, lif_step, surrogate_derivative
-from synmem.snn import _loss_spike_gradient
+from synmem.quant import (eta, quantize_error, quantize_membrane, quantize_weights,
+                          sigma, stochastic_round, weight_range)
+from synmem.rng import CounterRng, derive_seed
+from synmem.snn import (LayerHistory, clean_pattern, generate_poisson_input,
+                        generate_target, lif_step, surrogate_derivative)
+
+
+def _filter(raster, tau_vr):
+    """F[:, n] = x[:, n] + lam * F[:, n - 1], F[:, -1] = 0, lam = exp(-1/tau)."""
+    lam = np.exp(-1.0 / tau_vr)
+    x = np.asarray(raster, dtype=np.float64)
+    f = np.zeros(x.shape)
+    for n in range(x.shape[1]):
+        f[:, n] = x[:, n] + (lam * f[:, n - 1] if n else 0.0)
+    return f
+
+
+def distance(s, t, tau_vr):
+    """van Rossum distance D = sqrt(sum E^2), E = F(s) - F(t)."""
+    e = _filter(s, tau_vr) - _filter(t, tau_vr)
+    return float(np.sqrt(np.sum(e * e)))
+
+
+def _loss_spike_gradient(out_raster, target, tau_vr):
+    """dD/dS[:, m] = sum_{n >= m} lam^(n - m) E[:, n] / D: the filter run
+    backwards in time over E / D; zero when the rasters already match."""
+    e = _filter(out_raster, tau_vr) - _filter(target, tau_vr)
+    vr = np.sqrt(np.sum(e * e))
+    if vr == 0.0:
+        return np.zeros_like(e), 0.0
+    return _filter(e[:, ::-1] / vr, tau_vr)[:, ::-1], float(vr)
 
 
 class _StepState:
@@ -93,3 +123,37 @@ def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
         grads[l] = g_w / etas[l]             # d/d stored = d/d effective / eta
         g_s_ext = g_s_prev
     return grads
+
+
+def train(cfg, quant, epochs, seed):
+    """snn.train's quantized run for one cell, from this module's episode and
+    gradients: the same inputs, initial weights, lr schedule and rounding
+    stream. Returns the per-epoch distances and the final weights."""
+    sizes = cfg.layer_sizes
+    rng = CounterRng(seed)
+    rates = rng.spawn(0).uniform_range(cfg.rate_lo, cfg.rate_hi, (sizes[0], 1))
+    in_raster = generate_poisson_input(sizes[0], cfg.steps, rates, derive_seed(seed, 1))
+    clean = clean_pattern(sizes[-1], cfg.steps, derive_seed(seed, 2),
+                          cfg.pattern_period, cfg.pattern_band)
+    target = generate_target(clean, cfg.target_keep_p, derive_seed(seed, 3))
+    etas = [eta(quant.b_w, n) for n in sizes[:-1]]
+    weights = []
+    for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        bound = np.sqrt(3.0 / n_in)
+        w = rng.spawn(10 + li).uniform_range(-bound, bound, (n_in, n_out))
+        weights.append(quantize_weights(w * etas[li], quant.b_w))
+    round_rng = rng.spawn(99)
+    lo, hi = weight_range(quant.b_w)
+    out, histories = run_episode(weights, in_raster, cfg.params, etas, quant.b_m)
+    curve = [distance(out, target, cfg.tau_vr)]
+    for epoch in range(epochs):
+        lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal else cfg.lr
+        grads = bptt_gradients(histories, weights, out, target, cfg.params,
+                               cfg.tau_vr, etas)
+        for li, g in enumerate(grads):
+            stepped = weights[li] - lr * etas[li] * quantize_error(g, quant.b_e)
+            weights[li] = np.clip(stochastic_round(stepped, sigma(quant.b_w), round_rng),
+                                  lo, hi)
+        out, histories = run_episode(weights, in_raster, cfg.params, etas, quant.b_m)
+        curve.append(distance(out, target, cfg.tau_vr))
+    return curve, weights

@@ -21,7 +21,7 @@ from synmem.quant import (QuantConfig, eta, quantize_weights, sigma,
                           stochastic_round, weight_range)
 from synmem.rng import CounterRng
 from synmem.snn import (LifParams, NetworkConfig, bptt_gradients, run_episode,
-                        train, van_rossum)
+                        train, train_cells, van_rossum)
 from synmem.stores import build_bitmap, build_crossbar, build_csr, ceil_log2
 
 from test_snn import finite_difference_grads
@@ -253,10 +253,9 @@ def test_c09_desk_scale_learning():
 def test_c10_precision_sparsity_direction():
     start = time.time()
     cfg = NetworkConfig()
-    cells = {}
-    for b_w in (2, 5, 6):
-        quant = QuantConfig(b_w=b_w, fan_in=cfg.layer_sizes[0])
-        cells[b_w] = train(cfg, ["CB", "PB-BMP"], quant, 2000, seed=42)
+    widths = (2, 5, 6)
+    quants = [QuantConfig(b_w=b_w, fan_in=cfg.layer_sizes[0]) for b_w in widths]
+    cells = dict(zip(widths, train_cells(cfg, ["CB", "PB-BMP"], quants, 2000, seed=42)))
     sp2 = cells[2].mean_sparsity
     sp6 = cells[6].mean_sparsity
     assert sp2 > sp6

@@ -133,7 +133,8 @@ class TestConfig:
 
 def _just_outside(key):
     """Values of `key`'s type that lie just outside its range."""
-    item = {"int": True, "int list": True, "float": False, "grid axis": False}
+    item = {"int": True, "int list": True, "distinct int list": True, "float": False,
+            "grid axis": False}
     if key.type not in item or (key.lo is None and key.hi is None):
         return []
     integer = item[key.type]
@@ -145,7 +146,7 @@ def _just_outside(key):
                        else key.hi + 1 if integer else math.nextafter(key.hi, math.inf))
     if key.type == "grid axis":
         return [[x, key.lo] for x in outside]
-    if key.type == "int list":
+    if key.type in ("int list", "distinct int list"):
         return [[key.lo, x] for x in outside]
     return outside
 
@@ -172,6 +173,8 @@ class TestConfigTable:
 
     @pytest.mark.parametrize("section,override,names", [
         ("fc_sweep", {"bit_widths": "2345"}, "fc_sweep.bit_widths"),
+        ("fc_sweep", {"bit_widths": [4, 4]}, "fc_sweep.bit_widths"),
+        ("conv_sweep", {"bit_widths": [8, 8]}, "conv_sweep.bit_widths"),
         ("fc_sweep", {"n_pre": 7.9}, "fc_sweep.n_pre"),
         ("fc_sweep", {"n_pre": True}, "fc_sweep.n_pre"),
         ("fc_sweep", {"density": "0.5"}, "fc_sweep.density"),
@@ -192,7 +195,8 @@ class TestConfigTable:
         ("train_frontier", {"bit_widths": [4, 4]}, "train_frontier.bit_widths"),
         ("train_frontier", {"lr": float("nan")}, "train_frontier.lr"),
         ("train_frontier", {"lr": -1e-4}, "train_frontier: lr"),
-    ], ids=["bit-widths-string", "n-pre-fraction", "n-pre-bool", "density-string",
+    ], ids=["bit-widths-string", "fc-bit-widths-repeated", "conv-bit-widths-repeated",
+            "n-pre-fraction", "n-pre-bool", "density-string",
             "include-crossbar-string", "fractional-steps", "axis-string",
             "axis-without-max-and-steps", "steps-null", "layer-sizes-int",
             "tau-vr-zero", "tau-vr-negative", "lr-anneal-negative",
@@ -231,10 +235,11 @@ class TestConfigTable:
                                                              monkeypatch):
         ran = []
 
-        def fake_train(net, schemes, quant, epochs, seed, model):
+        def fake_train_cells(net, schemes, quants, epochs, seed, model):
             ran.append((list(net.layer_sizes), net.steps, epochs))
-            return TrainResult([1.0], {s: [] for s in schemes}, {}, [], [])
-        monkeypatch.setattr("synmem.cli.train", fake_train)
+            return [TrainResult([1.0], {s: [] for s in schemes}, {}, [], [])
+                    for _ in quants]
+        monkeypatch.setattr("synmem.cli.train_cells", fake_train_cells)
         cfg = write_cfg(tmp_path, {})
         digests = {}
         for scale, flags in (("desk", []), ("full", ["--full-scale"])):

@@ -1,6 +1,10 @@
 """LIF dynamics, surrogate gradients vs finite differences, van Rossum
 distance, task generators and the trainer."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +17,8 @@ from synmem.quant import QuantConfig, eta, quantize_weights
 from synmem.rng import CounterRng
 from synmem.snn import (LifParams, NetworkConfig, bptt_gradients, clean_pattern,
                         generate_poisson_input, generate_target, lif_step,
-                        run_episode, surrogate_derivative, train, van_rossum,
-                        vr_filter)
+                        run_episode, surrogate_derivative, train, train_cells,
+                        van_rossum, vr_filter)
 from synmem.stores import build_csr
 
 
@@ -412,16 +416,14 @@ class TestLayerMajorOracle:
         target = rng.bernoulli(0.1, (sizes[-1], steps)).astype(float)
         _check_against_oracle(weights, raster, target, LifParams(), etas, 16, False)
 
-    def test_quantized_training_matches_time_major(self, monkeypatch):
+    def test_quantized_training_matches_time_major(self):
         cfg = NetworkConfig()
         q = QuantConfig(b_w=4, fan_in=cfg.layer_sizes[0])
         got = train(cfg, "CB", q, 20, seed=5)
-        monkeypatch.setattr(snn, "run_episode", reference_snn.run_episode)
-        monkeypatch.setattr(snn, "bptt_gradients", reference_snn.bptt_gradients)
-        want = train(cfg, "CB", q, 20, seed=5)
-        assert got.vr_curve == want.vr_curve
+        want_curve, want_weights = reference_snn.train(cfg, q, 20, seed=5)
+        assert got.vr_curve == want_curve
         assert got.vr_curve[-1] != got.vr_curve[0]      # the raster did move
-        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want_weights))
 
 
 class TestTrain:
@@ -495,6 +497,88 @@ class TestTrain:
         with pytest.raises(ValueError, match="duplicate"):
             train(NetworkConfig(layer_sizes=(4, 2), steps=2), ["CB", "CB"], None, 1,
                   seed=0)
+
+
+def assert_same_result(got, want):
+    """Every TrainResult field equal bit for bit (a NaN equals a NaN)."""
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+    assert bits(got.vr_curve) == bits(want.vr_curve)
+    assert bits(got.sparsity) == bits(want.sparsity)
+    assert got.energy == want.energy
+    assert got.traces == want.traces
+    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
+    assert got.diverged == want.diverged
+
+
+DESK_WIDTHS = (None, 2, 3, 4, 5, 6)     # None: a full-precision cell
+
+
+def check_cells_match_separate_runs(seed, epochs=190):
+    """A desk-scale batch of every width against one train call per width,
+    past the epoch where the default lr anneals to zero."""
+    cfg = NetworkConfig()
+    quants = [QuantConfig(b_w=b, fan_in=cfg.layer_sizes[0]) if b else None
+              for b in DESK_WIDTHS]
+    schemes = ["CB", "PB-BMP"]
+    cells = train_cells(cfg, schemes, quants, epochs, seed)
+    assert len(cells) == len(quants)
+    for quant, got in zip(quants, cells):
+        assert_same_result(got, train(cfg, schemes, quant, epochs, seed))
+    assert len({tuple(c.vr_curve) for c in cells}) == len(cells)
+
+
+class TestTrainCells:
+    """train_cells against separate train calls. The cells' GEMMs run as one
+    stacked matmul, whose bits must not depend on the BLAS thread count."""
+
+    @pytest.mark.parametrize("seed", (0, 9))
+    def test_batch_equals_separate_runs(self, seed):
+        check_cells_match_separate_runs(seed)
+
+    def test_batch_equals_separate_runs_on_one_blas_thread(self):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+        script = ("import test_snn\n"
+                  "for seed in (0, 9):\n"
+                  "    test_snn.check_cells_match_separate_runs(seed)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "OPENBLAS_NUM_THREADS": "1"},
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_diverging_cell_leaves_the_others_alone(self, monkeypatch):
+        # hard-mode distances are always finite, so force one cell's
+        # distance to NaN at one epoch
+        cfg = NetworkConfig()
+        quants = [QuantConfig(b_w=b, fan_in=cfg.layer_sizes[0]) for b in (2, 4, 6)]
+        epochs, stop = 12, 5
+        separate = [train(cfg, "CB", q, epochs, seed=3) for q in quants]
+        distances = snn._distances
+
+        def diverge_at(cell):
+            calls = []
+
+            def patched(e):
+                d = distances(e)
+                calls.append(len(calls))
+                if len(calls) == stop + 2:      # call 0 is the initial episode
+                    d[cell] = np.nan
+                return d
+            return patched
+
+        monkeypatch.setattr(snn, "_distances", diverge_at(0))
+        frozen = train(cfg, "CB", quants[1], epochs, seed=3)
+        monkeypatch.setattr(snn, "_distances", diverge_at(1))
+        cells = train_cells(cfg, "CB", quants, epochs, seed=3)
+        assert frozen.diverged and len(frozen.vr_curve) == stop + 2
+        assert np.isnan(frozen.vr_curve[-1])
+        assert frozen.vr_curve[:-1] == separate[1].vr_curve[:stop + 1]
+        assert_same_result(cells[1], frozen)
+        assert_same_result(cells[0], separate[0])
+        assert_same_result(cells[2], separate[2])
+        assert not separate[0].diverged and len(cells[0].vr_curve) == epochs + 1
 
 
 class TestNetworkConfig:

@@ -12,9 +12,10 @@ from .conv import (ConvGeometry, FunctionalStore, build_functional,
                    conv_reverse_addresses, csr_from_conv,
                    functional_pass_traces, materialize)
 from .trace import AccessTrace, MemBank
-from .energy import (CostModel, DEFAULT_MODEL, CalibrationError, FcLayer,
-                     ConvLayer, calibrate_defaults, layer_sweep, load_cost_model,
-                     pass_energy, sweep_density_leakage)
+from .energy import (CostModel, DEFAULT_MODEL, CalibrationError,
+                     EnergyOverflowError, FcLayer, ConvLayer, calibrate_defaults,
+                     layer_sweep, load_cost_model, pass_energy,
+                     sweep_density_leakage)
 from .quant import (QuantConfig, eta, quantize_error, quantize_weights, sigma,
                     stochastic_round, weight_range)
 from .rng import CounterRng, derive_seed

@@ -31,6 +31,20 @@ class CalibrationError(Exception):
     """No positive constant assignment reproduces the anchored ratios."""
 
 
+class EnergyOverflowError(OverflowError):
+    """An energy figure is not finite: every constant is, but together they
+    overflow a float for this traffic."""
+
+
+def finite_energy(value, what, *args):
+    """`value`, or EnergyOverflowError naming `what % args` if it is inf or NaN.
+    The name is formatted only on failure: sweeps check every figure."""
+    if not math.isfinite(value):
+        raise EnergyOverflowError(
+            f"{what % args} is {value!r}; the cost model's constants overflow it")
+    return value
+
+
 # Frozen output of calibrate_defaults() at the canonical anchors
 # (forward overhead 1.03, backward ratio 0.42 on the reference conv layer).
 FACTORY_CONSTANTS = {
@@ -43,14 +57,6 @@ FACTORY_CONSTANTS = {
     "t_access": 1.0,
     "round_pow2": True,
 }
-
-_pass_energy_calls = 0
-
-
-def pass_energy_call_count():
-    """Audit counter: total pass_energy invocations in this process."""
-    return _pass_energy_calls
-
 
 def next_pow2(n):
     return 2 ** ceil_log2(n)
@@ -113,6 +119,9 @@ def load_cost_model(source):
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             source = json.load(fh)
+    if not isinstance(source, dict):
+        raise ValueError(
+            f"a cost model must be a JSON object, got {type(source).__name__}")
     unknown = set(source) - set(FACTORY_CONSTANTS)
     if unknown:
         raise ValueError(f"unknown cost model keys: {sorted(unknown)}")
@@ -135,9 +144,8 @@ def pass_energy(trace, model, scheme=""):
     active = sum over banks of reads * e_read + writes * e_write, plus
     logic_evals * e_logic. Leakage is reported separately: every bank in
     the trace leaks for the pass duration t_access * total access count.
+    Raises EnergyOverflowError if either total is not finite.
     """
-    global _pass_energy_calls
-    _pass_energy_calls += 1
     active = trace.logic_evals * model.e_logic
     per_bank = {}
     leak_rate = 0.0
@@ -150,8 +158,9 @@ def pass_energy(trace, model, scheme=""):
         active += r_pj + w_pj
         leak_rate += model.p_leak(model.bank_capacity(bank))
     t_pass = trace.total_accesses * model.t_access
-    return PassEnergyReport(scheme, active, leak_rate * t_pass, leak_rate, per_bank,
-                            trace)
+    return PassEnergyReport(scheme, finite_energy(active, "%s active energy", scheme),
+                            finite_energy(leak_rate * t_pass, "%s leakage", scheme),
+                            leak_rate, per_bank, trace)
 
 
 @dataclass(frozen=True)
@@ -205,8 +214,10 @@ def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, w_word=32,
                 "b_w": b_w,
                 "forward_pJ": fwd.active_energy,
                 "backward_pJ": bwd.active_energy,
-                "leak_pJ": fwd.leakage_energy + bwd.leakage_energy,
-                "total_pJ": fwd.active_energy + bwd.active_energy,
+                "leak_pJ": finite_energy(fwd.leakage_energy + bwd.leakage_energy,
+                                         "%s leakage at b_w %d", name, b_w),
+                "total_pJ": finite_energy(fwd.active_energy + bwd.active_energy,
+                                          "%s total at b_w %d", name, b_w),
             })
         best = min(r["total_pJ"] for r in group)
         for r in group:
@@ -246,8 +257,10 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
         ref_rate = leak_rate["CB"]
         for frac in leak_fractions:
             t_wall = frac / (1.0 - frac) * ref_active / ref_rate
-            totals = {name: sum(active[name]) + leak_rate[name] * t_wall
-                      for name in traces}
+            totals = {name: finite_energy(
+                sum(active[name]) + leak_rate[name] * t_wall,
+                "%s total at density %r, leak fraction %r", name, density, frac)
+                for name in traces}
             winner = min(sorted(totals), key=totals.get)
             best = totals[winner]
             oom = math.floor(math.log10(best)) if best > 0 else ""

@@ -85,7 +85,9 @@ class QuantConfig:
     """Bit widths for one training setup.
 
     b_w: stored weight words; b_e: backpropagated error; b_m: membrane
-    history kept for the reverse pass; fan_in drives the layer scale eta.
+    history kept for the reverse pass. fan_in is read only by the `eta`
+    property: training scales each layer by its own fan-in,
+    eta(b_w, n_in), whatever fan_in holds.
     """
 
     b_w: int

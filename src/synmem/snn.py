@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import DEFAULT_MODEL, pass_energy
+from .energy import DEFAULT_MODEL, finite_energy, pass_energy
 from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
                     sigma, stochastic_round_with, weight_range)
 from .rng import CounterRng, derive_seed
@@ -401,7 +401,6 @@ class TrainResult:
     traces: dict                   # scheme -> per-layer accumulated AccessTrace
     sparsity: list                 # per-epoch fraction of exactly-zero weights
     weights: list
-    diverged: bool = False
 
     @property
     def final_vr(self):
@@ -416,7 +415,8 @@ class TrainResult:
         return float(np.mean(self.sparsity)) if self.sparsity else 0.0
 
     def total_energy(self, scheme):
-        return sum(f + b for f, b in self.energy[scheme])
+        return finite_energy(sum(f + b for f, b in self.energy[scheme]),
+                             "%s training energy", scheme)
 
 
 def _epoch_energy(weights, schemes, steps, quant, cost_model, traces, energy):
@@ -440,8 +440,8 @@ def _epoch_energy(weights, schemes, steps, quant, cost_model, traces, energy):
         energy[scheme].append((fwd_pj, bwd_pj))
 
 
-def _descend(weights, grads, quants, training, etas, lr, vr, round_rng):
-    """Apply one epoch's gradients in place to the cells in `training`.
+def _descend(weights, grads, quants, etas, lr, vr, round_rng):
+    """Apply one epoch's gradients in place to every cell.
 
     A quantized cell steps by its quantized gradient, scaled by eta, and is
     rounded stochastically back onto its grid; one block of uniforms per
@@ -449,9 +449,8 @@ def _descend(weights, grads, quants, training, etas, lr, vr, round_rng):
     the squared distance, so its steps shrink as the raster locks in.
     """
     for li, g in enumerate(grads):
-        u = round_rng.uniform(g.shape[1:]) if any(quants[c] for c in training) else None
-        for c in training:
-            q = quants[c]
+        u = round_rng.uniform(g.shape[1:]) if any(quants) else None
+        for c, q in enumerate(quants):
             if q:
                 stepped = weights[li][c] - lr * etas[li][c] * quantize_error(g[c], q.b_e)
                 lo, hi = weight_range(q.b_w)
@@ -515,31 +514,23 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
     vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
     for res, v in zip(results, vr):
         res.vr_curve.append(float(v))
-    training = list(range(len(quants)))
 
     for epoch in range(epochs):
-        if not training:
-            break
         # linear anneal to zero freezes the raster once learning is done;
         # held-at-threshold neurons otherwise chatter forever
         lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal \
             else cfg.lr
         _descend(weights, _gradients(histories, weights, eta_cells, g_out, cfg.params),
-                 quants, training, etas, lr, vr, round_rng)
+                 quants, etas, lr, vr, round_rng)
         histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
         vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
-        for c in list(training):
-            res = results[c]
+        for c, res in enumerate(results):
             cell = [w[c] for w in weights]
             res.vr_curve.append(float(vr[c]))
             res.sparsity.append(sum(int((w == 0.0).sum()) for w in cell)
                                 / sum(w.size for w in cell))
             _epoch_energy(cell, schemes, cfg.steps, quants[c], cost_model,
                           res.traces, res.energy)
-            if not np.isfinite(vr[c]):
-                # the cell's weights stop here; the rest of the batch trains on
-                res.diverged = True
-                training.remove(c)
 
     for c, res in enumerate(results):
         res.weights = [w[c] for w in weights]
@@ -551,9 +542,6 @@ def train(cfg, scheme, quant, epochs, seed, cost_model=None):
     the one-cell call of train_cells.
 
     scheme: one of "CB", "PB-CSR", "PB-BMP", or a list of them. quant=None
-    trains in full precision. A run stops with diverged=True if the distance
-    stops being finite. With binary (hard-mode) spikes it cannot: the
-    distance is between two binary rasters, so it stays finite whatever
-    the weights do.
+    trains in full precision.
     """
     return train_cells(cfg, scheme, [quant], epochs, seed, cost_model)[0]

@@ -238,7 +238,7 @@ def test_c09_desk_scale_learning():
     res = train(cfg, "CB", None, 2000, seed=42)
     curve = np.array(res.vr_curve)
     ratio = curve[-1] / curve[0]
-    assert not res.diverged
+    assert np.all(np.isfinite(curve))
     assert ratio < 0.5
     moving = np.convolve(curve, np.ones(100) / 100, mode="valid")
     tail = np.diff(moving[200:])

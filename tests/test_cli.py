@@ -6,11 +6,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from synmem.cli import (CONFIG_KEYS, ConfigError, DEFAULT_CONFIG, build_parser,
                         load_config, main, validate_csv)
-from synmem.snn import TrainResult
+from synmem.energy import load_cost_model, pass_energy
+from synmem.snn import TrainResult, train_cells
+from synmem.stores import FC_SCHEMES, fc_pass_traces
 
 
 def write_cfg(tmp_path, overrides=None, name="cfg.json"):
@@ -107,13 +110,33 @@ class TestConfig:
         assert "a_raed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("constants", [
-        {"a_read": float("nan")}, {"a_read": "x"}, {"round_pow2": "no"}],
-        ids=["non-finite", "non-numeric", "round-pow2-not-bool"])
+        {"a_read": float("nan")}, {"a_read": "x"}, {"round_pow2": "no"}, [], 5, None],
+        ids=["non-finite", "non-numeric", "round-pow2-not-bool", "top-level-list",
+             "top-level-number", "top-level-null"])
     def test_bad_cost_model_constant_exit_code(self, tmp_path, constants):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(constants))
         cfg = write_cfg(tmp_path, {**SMALL_FC, "cost_model": str(model)})
         assert run(["fc-sweep", "--config", cfg, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("command,section,constants", [
+        ("fc-sweep", SMALL_FC, {"a_read": 1e308}),
+        ("fc-sweep", SMALL_FC, {"a_read": 1e303}),
+        ("fc-sweep", SMALL_FC, {"a_leak": 3e300}),
+        ("train-frontier", SMALL_TRAIN, {"a_read": 1e308}),
+        ("train-frontier", SMALL_TRAIN, {"a_read": 2e303}),
+        ("density-leak-grid", SMALL_GRID, {"a_read": 1e308}),
+        ("density-leak-grid", SMALL_GRID, {"a_leak": 1e-320}),
+    ], ids=["fc-pass", "fc-row-sum", "fc-row-leak-sum", "train-pass", "train-epoch-sum", "grid-pass",
+            "grid-leak-scaling"])
+    def test_overflowing_cost_model_exit_code(self, tmp_path, capsys, command,
+                                              section, constants):
+        # every constant is finite, but an energy figure they form is not
+        cfg = write_cfg(tmp_path, {**section, "cost_model": constants})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert "config error: cost_model:" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_missing_cost_model_file(self, tmp_path):
         over = dict(SMALL_FC)
@@ -311,10 +334,74 @@ class TestCommands:
         assert len(curve) == 3   # initial + 2 epochs
         assert curve[0]["fwd_pJ"] == "0.0"
 
-    def test_audit_mode_passes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SYNMEM_AUDIT", "1")
-        cfg = write_cfg(tmp_path, SMALL_FC)
-        assert run(["fc-sweep", "--config", cfg, "--out", tmp_path]) == 0
+
+
+class TestTrainFrontierEnergy:
+    """Every train-frontier energy figure, recomputed from the layers' counts:
+    per layer, `steps` forward scans, and `steps` backward scans plus one
+    update pass, priced by pass_energy and summed in layer order from 0.0."""
+
+    COST_MODEL = {"e_logic": 3.0, "b_write": 0.25}
+
+    def check(self, out, section, layer_nnz):
+        """layer_nnz(b_w, curve row): each layer's nnz in that row's epoch."""
+        model = load_cost_model(self.COST_MODEL)
+        sizes, steps = section["layer_sizes"], section["steps"]
+        frontier = {(r["scheme"], int(r["b_w"])): r
+                    for r in read_rows(out / "frontier.csv")}
+        for (scheme, b_w), summary in frontier.items():
+            curve = read_rows(out / f"curve_{scheme.replace('-', '_')}_{b_w}b.csv")
+            assert len(curve) == section["epochs"] + 1
+            total = 0.0
+            for row in curve[1:]:
+                fwd = bwd = 0.0
+                for n_pre, n_post, nnz in zip(sizes, sizes[1:], layer_nnz(b_w, row)):
+                    fwd_1, bwd_1, upd = fc_pass_traces(scheme, n_pre, n_post, nnz, b_w)
+                    fwd += pass_energy(fwd_1.scaled(steps), model).active_energy
+                    bwd += pass_energy(bwd_1.scaled(steps) + upd, model).active_energy
+                assert (row["fwd_pJ"], row["bwd_pJ"]) == (repr(fwd), repr(bwd))
+                total += float(row["fwd_pJ"]) + float(row["bwd_pJ"])
+            assert summary["energy_total_pJ"] == repr(total)
+        assert len(frontier) == len(FC_SCHEMES) * len(section["bit_widths"])
+
+    def test_frozen_weights(self, tmp_path, monkeypatch):
+        # lr 0: the quantized weights never move, so the final weights'
+        # nnz gives every epoch's traffic
+        section = {**SMALL_TRAIN["train_frontier"], "epochs": 3, "lr": 0.0,
+                   "schemes": list(FC_SCHEMES)}
+        cells = []
+
+        def recorded(*args):
+            cells.extend(train_cells(*args))
+            return cells
+        monkeypatch.setattr("synmem.cli.train_cells", recorded)
+        cfg = write_cfg(tmp_path, {"cost_model": self.COST_MODEL,
+                                   "train_frontier": section})
+        assert run(["train-frontier", "--config", cfg, "--out", tmp_path,
+                    "--seed", 3]) == 0
+        final = dict(zip(section["bit_widths"], cells))
+        self.check(tmp_path, section, lambda b_w, row: [
+            int(np.count_nonzero(w)) for w in final[b_w].weights])
+
+    def test_moving_weights(self, tmp_path):
+        # at the default lr the weights move; with one weight layer, each
+        # epoch's sparsity column gives that layer's nnz
+        section = {"layer_sizes": [200, 50], "steps": 100, "epochs": 4,
+                   "bit_widths": [2, 4], "schemes": list(FC_SCHEMES)}
+        size = 200 * 50
+        nnz_seen = set()
+
+        def layer_nnz(b_w, row):
+            zeros = round(float(row["sparsity"]) * size)
+            assert repr(zeros / size) == row["sparsity"]
+            nnz_seen.add((b_w, size - zeros))
+            return [size - zeros]
+        cfg = write_cfg(tmp_path, {"cost_model": self.COST_MODEL,
+                                   "train_frontier": section})
+        assert run(["train-frontier", "--config", cfg, "--out", tmp_path,
+                    "--seed", 3]) == 0
+        self.check(tmp_path, section, layer_nnz)
+        assert len(nnz_seen) > len(section["bit_widths"])     # some nnz moved
 
 
 class TestDeterminism:

@@ -7,8 +7,8 @@ import pytest
 import reference_sweeps
 from synmem.conv import ConvGeometry
 from synmem.energy import (CalibrationError, ConvLayer, CostModel,
-                           DEFAULT_ANCHORS, DEFAULT_MODEL, FACTORY_CONSTANTS,
-                           FcLayer, calibrate_defaults, layer_sweep,
+                           DEFAULT_ANCHORS, DEFAULT_MODEL, EnergyOverflowError,
+                           FACTORY_CONSTANTS, FcLayer, calibrate_defaults, layer_sweep,
                            load_cost_model, next_pow2, pass_energy,
                            sweep_density_leakage)
 from synmem.matrix import nnz_at_density, random_mask, random_synapse_matrix
@@ -60,6 +60,15 @@ class TestPassEnergy:
     def test_empty_trace_is_free(self):
         rep = pass_energy(AccessTrace(), DEFAULT_MODEL)
         assert rep.active_energy == 0.0 and rep.leakage_energy == 0.0
+
+    @pytest.mark.parametrize("constants,total", [
+        ({"a_read": 1e308}, "active energy"), ({"a_leak": 1e308}, "leakage")],
+        ids=["active", "leakage"])
+    def test_overflowing_total_raises(self, constants, total):
+        t = AccessTrace()
+        t.read(MemBank("weight", "weight", 64, 2), 10)
+        with pytest.raises(EnergyOverflowError, match=f"CB {total} is inf"):
+            pass_energy(t, simple_model(**constants), "CB")
 
     def test_flat_cost_example(self):
         bank = MemBank("weight", "weight", 64, 2)

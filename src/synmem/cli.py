@@ -20,7 +20,7 @@ versions; no timestamps or absolute paths, so reruns are byte-identical.
 Exit codes: 0 ok, 2 config error. A cost model whose constants are each
 valid but together overflow an energy figure (EnergyOverflowError) is a
 config error too. Any other exception raised while a command computes is
-a bug and propagates.
+a bug and propagates. --out is created only once every row is computed.
 """
 
 import argparse
@@ -290,7 +290,9 @@ def _grid_axis(axis):
 
 
 def _write_outputs(out_dir, command, cfg, seed, outputs):
-    """Write each {file name: (schema, rows)} CSV and the manifest listing them."""
+    """Create `out_dir` and write each {file name: (schema, rows)} CSV and the
+    manifest listing them."""
+    os.makedirs(out_dir, exist_ok=True)
     for name, (schema, rows) in outputs.items():
         write_csv(os.path.join(out_dir, name), schema, rows)
     digest = hashlib.sha256(
@@ -418,7 +420,6 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.command == "train-frontier" and args.full_scale:
             cfg["train_frontier"].update(_FULL_SCALE)
-        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, asdict
 from .conv import ConvGeometry, connection_count, functional_pass_traces
 from .matrix import nnz_at_density
 from .stores import FC_SCHEMES, ceil_log2, fc_pass_traces
-from .trace import AccessTrace
 
 
 class CalibrationError(Exception):
@@ -130,12 +129,9 @@ def load_cost_model(source):
 
 @dataclass
 class PassEnergyReport:
-    scheme: str
     active_energy: float
     leakage_energy: float
     leak_rate: float        # summed p_leak of the trace's banks, per time unit
-    per_bank: dict          # bank name -> (read_pJ, write_pJ)
-    trace: AccessTrace
 
 
 def pass_energy(trace, model, scheme=""):
@@ -144,23 +140,19 @@ def pass_energy(trace, model, scheme=""):
     active = sum over banks of reads * e_read + writes * e_write, plus
     logic_evals * e_logic. Leakage is reported separately: every bank in
     the trace leaks for the pass duration t_access * total access count.
-    Raises EnergyOverflowError if either total is not finite.
+    Raises EnergyOverflowError, naming `scheme`, if either total is not finite.
     """
     active = trace.logic_evals * model.e_logic
-    per_bank = {}
     leak_rate = 0.0
     for bank, reads, writes in trace.banks():
         if bank.word_bits < 0 or bank.n_words < 0:
             raise ValueError(f"invalid bank metadata {bank}")
-        r_pj = reads * model.bank_read(bank)
-        w_pj = writes * model.bank_write(bank)
-        per_bank[bank.name] = (r_pj, w_pj)
-        active += r_pj + w_pj
+        active += reads * model.bank_read(bank) + writes * model.bank_write(bank)
         leak_rate += model.p_leak(model.bank_capacity(bank))
     t_pass = trace.total_accesses * model.t_access
-    return PassEnergyReport(scheme, finite_energy(active, "%s active energy", scheme),
+    return PassEnergyReport(finite_energy(active, "%s active energy", scheme),
                             finite_energy(leak_rate * t_pass, "%s leakage", scheme),
-                            leak_rate, per_bank, trace)
+                            leak_rate)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,14 @@ one block of rounding uniforms per layer and epoch serves every cell, the
 per-step loops step all cells at once, and the synaptic products are one
 stacked GEMM over a (cells, n_pre, n_post) weight stack.
 Every elementwise op is the one a single cell would make, and every
-reduction (the van Rossum sum, the error peak, the zero counts) runs on
-one cell's own contiguous block, so each cell's bytes equal a run of that
-cell alone. `run_episode`, `bptt_gradients` and `van_rossum` are the
+reduction (the van Rossum sum, the error peak, the nonzero counts) runs
+on one cell's own contiguous block, so each cell's bytes equal a run of
+that cell alone. `run_episode`, `bptt_gradients` and `van_rossum` are the
 one-cell views of the same code. A run is deterministic under its seed.
+
+An epoch's memory energy is a function of (scheme, b_w, per-layer nonzero
+count): each epoch counts every cell's nonzeros once per weight stack, the
+counts also give the sparsity, and each distinct key is priced once per run.
 """
 
 from dataclasses import dataclass, field
@@ -66,7 +70,6 @@ from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
                     sigma, stochastic_round_with, weight_range)
 from .rng import CounterRng, derive_seed
 from .stores import FC_SCHEMES, fc_pass_traces
-from .trace import AccessTrace
 
 
 @dataclass(frozen=True)
@@ -398,7 +401,6 @@ class NetworkConfig:
 class TrainResult:
     vr_curve: list                 # per-epoch distance, index 0 = pre-training
     energy: dict                   # scheme -> list of (fwd_pJ, bwd_pJ) per epoch
-    traces: dict                   # scheme -> per-layer accumulated AccessTrace
     sparsity: list                 # per-epoch fraction of exactly-zero weights
     weights: list
 
@@ -419,25 +421,18 @@ class TrainResult:
                              "%s training energy", scheme)
 
 
-def _epoch_energy(weights, schemes, steps, quant, cost_model, traces, energy):
-    """Account one epoch: `steps` forward and backward scans, one update pass.
-
+def _epoch_energy(scheme, shapes, nnz, b_w, steps, cost_model):
+    """(fwd_pJ, bwd_pJ) of one epoch from each layer's (n_pre, n_post) shape
+    and nonzero count: `steps` forward and backward scans, one update pass.
     Stores are re-encoded from the current zero pattern, so the sparsity the
-    run develops shows up in the sparse schemes' traffic and capacities.
-    """
-    b_w = quant.b_w if quant else 32
-    for scheme in schemes:
-        fwd_pj = bwd_pj = 0.0
-        for li, w in enumerate(weights):
-            nnz = int(np.count_nonzero(w))
-            fwd_1, bwd_1, upd_t = fc_pass_traces(scheme, w.shape[0], w.shape[1],
-                                                 nnz, b_w)
-            fwd_t = fwd_1.scaled(steps)
-            bwd_t = bwd_1.scaled(steps)
-            fwd_pj += pass_energy(fwd_t, cost_model, scheme).active_energy
-            bwd_pj += pass_energy(bwd_t + upd_t, cost_model, scheme).active_energy
-            traces[scheme][li] += fwd_t + bwd_t + upd_t
-        energy[scheme].append((fwd_pj, bwd_pj))
+    run develops shows up in the sparse schemes' traffic and capacities."""
+    fwd_pj = bwd_pj = 0.0
+    for (n_pre, n_post), n in zip(shapes, nnz):
+        fwd_1, bwd_1, upd_t = fc_pass_traces(scheme, n_pre, n_post, n, b_w)
+        fwd_pj += pass_energy(fwd_1.scaled(steps), cost_model, scheme).active_energy
+        bwd_pj += pass_energy(bwd_1.scaled(steps) + upd_t, cost_model,
+                              scheme).active_energy
+    return fwd_pj, bwd_pj
 
 
 def _descend(weights, grads, quants, etas, lr, vr, round_rng):
@@ -481,6 +476,10 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
     if len(set(schemes)) < len(schemes):
         raise ValueError(f"duplicate schemes in {schemes}")
     quants = list(quants)
+    if not quants:
+        raise ValueError("quants needs at least one cell")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
 
     sizes = cfg.layer_sizes
     rng = CounterRng(seed)
@@ -507,9 +506,12 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
     round_rng = rng.spawn(99)
     b_ms = [q.b_m if q else None for q in quants]
 
-    results = [TrainResult([], {s: [] for s in schemes},
-                           {s: [AccessTrace() for _ in weights] for s in schemes},
-                           [], None) for _ in quants]
+    shapes = [w.shape[1:] for w in weights]
+    size = sum(n_in * n_out for n_in, n_out in shapes)
+    b_ws = [q.b_w if q else 32 for q in quants]
+    priced = {}        # (scheme, b_w, per-layer nnz) -> (fwd_pJ, bwd_pJ)
+
+    results = [TrainResult([], {s: [] for s in schemes}, [], None) for _ in quants]
     histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
     vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
     for res, v in zip(results, vr):
@@ -524,13 +526,16 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
                  quants, etas, lr, vr, round_rng)
         histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
         vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
-        for c, res in enumerate(results):
-            cell = [w[c] for w in weights]
-            res.vr_curve.append(float(vr[c]))
-            res.sparsity.append(sum(int((w == 0.0).sum()) for w in cell)
-                                / sum(w.size for w in cell))
-            _epoch_energy(cell, schemes, cfg.steps, quants[c], cost_model,
-                          res.traces, res.energy)
+        counts = zip(*(np.count_nonzero(w, axis=(1, 2)).tolist() for w in weights))
+        for res, v, b_w, nnz in zip(results, vr, b_ws, counts):
+            res.vr_curve.append(float(v))
+            res.sparsity.append((size - sum(nnz)) / size)
+            for scheme in schemes:
+                key = (scheme, b_w, nnz)
+                if key not in priced:
+                    priced[key] = _epoch_energy(scheme, shapes, nnz, b_w, cfg.steps,
+                                                cost_model)
+                res.energy[scheme].append(priced[key])
 
     for c, res in enumerate(results):
         res.weights = [w[c] for w in weights]

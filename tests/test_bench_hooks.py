@@ -7,9 +7,11 @@ own `__dict__`, so a refactor that moves or renames one of them breaks
 `cli.load_config` and the cost model through `energy.load_cost_model`, so a
 change at the config boundary can break `bench/run.py` itself. The `train`
 workload's final checks read the records `snn.run_episode` returns and
-feed them to `snn.bptt_gradients`, so a change to the episode record can
-fail `bench/run.py` after its timed loop. All three run in a subprocess,
-so the tracer's wrappers never reach other tests.
+feed them to `snn.bptt_gradients`, and call `snn.train` positionally to
+read the `weights` of its TrainResult, so a change to the episode record
+or to the training result can fail `bench/run.py` after its timed loop.
+All three run in a subprocess, so the tracer's wrappers never reach other
+tests.
 """
 
 import os
@@ -44,6 +46,7 @@ train = workloads.WORKLOADS["train"](1, sys.argv[1])
 rng = workloads._np_rng(1, 1)
 train._check_episode(rng)
 train._check_gradients(rng)
+train._check_quantized_weights()
 """
 
 

@@ -136,7 +136,7 @@ class TestConfig:
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out]) == 2
         assert "config error: cost_model:" in capsys.readouterr().err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     def test_missing_cost_model_file(self, tmp_path):
         over = dict(SMALL_FC)
@@ -218,13 +218,15 @@ class TestConfigTable:
         ("train_frontier", {"bit_widths": [4, 4]}, "train_frontier.bit_widths"),
         ("train_frontier", {"lr": float("nan")}, "train_frontier.lr"),
         ("train_frontier", {"lr": -1e-4}, "train_frontier: lr"),
+        ("conv_sweep", {"k_h": 2}, "conv_sweep: kernel extents must be odd"),
     ], ids=["bit-widths-string", "fc-bit-widths-repeated", "conv-bit-widths-repeated",
             "n-pre-fraction", "n-pre-bool", "density-string",
             "include-crossbar-string", "fractional-steps", "axis-string",
             "axis-without-max-and-steps", "steps-null", "layer-sizes-int",
             "tau-vr-zero", "tau-vr-negative", "lr-anneal-negative",
             "epochs-negative", "layer-sizes-fraction", "schemes-string",
-            "schemes-duplicate", "bit-widths-repeated", "lr-nan", "lr-negative"])
+            "schemes-duplicate", "bit-widths-repeated", "lr-nan", "lr-negative",
+            "conv-kernel-even"])
     def test_probed_fault_is_a_config_error(self, tmp_path, capsys, section,
                                             override, names):
         base = dict(SMALL_TRAIN["train_frontier"]) if section == "train_frontier" else {}
@@ -232,7 +234,7 @@ class TestConfigTable:
         command = section.replace("_", "-")
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert names in capsys.readouterr().err
-        assert not (tmp_path / "out" / "run_manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_int_for_a_float_key_reads_as_float(self, tmp_path):
         written = {}
@@ -260,7 +262,7 @@ class TestConfigTable:
 
         def fake_train_cells(net, schemes, quants, epochs, seed, model):
             ran.append((list(net.layer_sizes), net.steps, epochs))
-            return [TrainResult([1.0], {s: [] for s in schemes}, {}, [], [])
+            return [TrainResult([1.0], {s: [] for s in schemes}, [], [])
                     for _ in quants]
         monkeypatch.setattr("synmem.cli.train_cells", fake_train_cells)
         cfg = write_cfg(tmp_path, {})

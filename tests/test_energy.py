@@ -91,7 +91,9 @@ class TestPassEnergy:
             rep = pass_energy(t, m)
             assert rep.leak_rate == m.p_leak(m.bank_capacity(row_ptr))
             assert rep.leakage_energy == rep.leak_rate * 4
-            assert rep.per_bank["col_idx"] == (0.0, 0.0)
+            alone = AccessTrace()
+            alone.read(empty, 0)
+            assert pass_energy(alone, m).active_energy == 0.0
 
     def test_linearity(self):
         m = DEFAULT_MODEL

@@ -310,46 +310,36 @@ def _write_outputs(out_dir, command, cfg, seed, outputs):
         fh.write("\n")
 
 
-def cmd_fc_sweep(cfg, out_dir, seed):
+def cmd_fc_sweep(cfg, model, seed):
     sec = cfg["fc_sweep"]
-    model = _cost_model(cfg)
     layer = FcLayer(sec["n_pre"], sec["n_post"], sec["density"])
     rows = layer_sweep(layer, sec["bit_widths"], model, w_word=sec["w_word"])
     for r in rows:
         r["density"] = layer.density
-    _write_outputs(out_dir, "fc-sweep", cfg, seed,
-                   {"fc_sweep.csv": (SWEEP_SCHEMA, rows)})
-    return 0
+    return {"fc_sweep.csv": (SWEEP_SCHEMA, rows)}
 
 
-def cmd_conv_sweep(cfg, out_dir, seed):
+def cmd_conv_sweep(cfg, model, seed):
     sec = cfg["conv_sweep"]
-    model = _cost_model(cfg)
     with _built_from("conv_sweep"):
         geometry = ConvGeometry(sec["in_h"], sec["in_w"], sec["k_h"], sec["k_w"],
                                 sec["c_in"], sec["c_out"])
     rows = layer_sweep(ConvLayer(geometry), sec["bit_widths"], model,
                        include_crossbar=sec["include_crossbar"])
-    _write_outputs(out_dir, "conv-sweep", cfg, seed,
-                   {"conv_sweep.csv": (SWEEP_SCHEMA, rows)})
-    return 0
+    return {"conv_sweep.csv": (SWEEP_SCHEMA, rows)}
 
 
-def cmd_density_leak_grid(cfg, out_dir, seed):
+def cmd_density_leak_grid(cfg, model, seed):
     sec = cfg["density_leak_grid"]
-    model = _cost_model(cfg)
     rows = sweep_density_leakage(_grid_axis(sec["densities"]),
                                  _grid_axis(sec["leak_fractions"]), model,
                                  n_pre=sec["n_pre"], n_post=sec["n_post"],
                                  b_w=sec["b_w"], w_word=sec["w_word"])
-    _write_outputs(out_dir, "density-leak-grid", cfg, seed,
-                   {"density_leak_grid.csv": (SWEEP_SCHEMA, rows)})
-    return 0
+    return {"density_leak_grid.csv": (SWEEP_SCHEMA, rows)}
 
 
-def cmd_train_frontier(cfg, out_dir, seed):
+def cmd_train_frontier(cfg, model, seed):
     sec = cfg["train_frontier"]
-    model = _cost_model(cfg)
     with _built_from("train_frontier"):
         net = NetworkConfig(layer_sizes=sec["layer_sizes"], steps=sec["steps"],
                             tau_vr=sec["tau_vr"], lr=sec["lr"],
@@ -387,8 +377,16 @@ def cmd_train_frontier(cfg, out_dir, seed):
                 curve_rows.append({"epoch": epoch, "vr_distance": vr,
                                    "fwd_pJ": fwd, "bwd_pJ": bwd, "sparsity": sp})
             outputs[curve_name] = (CURVE_SCHEMA, curve_rows)
-    _write_outputs(out_dir, "train-frontier", cfg, seed, outputs)
-    return 0
+    return outputs
+
+
+# command -> function of (config, cost model, seed) giving {file: (schema, rows)}
+_COMMANDS = {
+    "fc-sweep": cmd_fc_sweep,
+    "conv-sweep": cmd_conv_sweep,
+    "density-leak-grid": cmd_density_leak_grid,
+    "train-frontier": cmd_train_frontier,
+}
 
 
 def build_parser():
@@ -396,7 +394,7 @@ def build_parser():
         prog="synmem",
         description="Energy profiling of synaptic connectivity storage schemes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fc-sweep", "conv-sweep", "density-leak-grid", "train-frontier"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -406,27 +404,21 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "fc-sweep": cmd_fc_sweep,
-    "conv-sweep": cmd_conv_sweep,
-    "density-leak-grid": cmd_density_leak_grid,
-    "train-frontier": cmd_train_frontier,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.command == "train-frontier" and args.full_scale:
             cfg["train_frontier"].update(_FULL_SCALE)
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+        outputs = _COMMANDS[args.command](cfg, _cost_model(cfg), args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EnergyOverflowError as exc:
         print(f"config error: cost_model: {exc}", file=sys.stderr)
         return 2
+    _write_outputs(args.out, args.command, cfg, args.seed, outputs)
+    return 0
 
 
 if __name__ == "__main__":

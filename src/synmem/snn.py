@@ -18,12 +18,16 @@ filter analytically.
 
 A layer's traces P and Q depend only on its input raster, so episodes and
 their gradients run layer by layer rather than step by step. Per step
-stay only the recurrences that cannot be unrolled cheaply: the P/Q input
-filter (n_pre wide), the U/S/R refractory loop (n_post wide), and in
-reverse the g_u/g_r loop (n_post) and the g_p/g_q filter (n_pre). The
-synaptic products over all steps are one GEMM each: (P @ W) / eta forward,
-P^T @ G / eta for the weight gradient and G @ (W/eta)^T for the gradient
-at the layer's input. An episode is recorded as one frozen LayerHistory
+stay only the recurrences that cannot be unrolled cheaply. Every linear
+one, acc = lam * acc + x[n], runs through one time-major filter, `_leaky`:
+Q and then P over a layer's input spikes, g_p and then g_q in reverse for
+the gradient at its input, and the van Rossum filter over the output
+spikes and, in reverse, over the distance's error. The other two are the
+U/S/R refractory loop (n_post wide), nonlinear through the spike, and in
+reverse the g_u/g_r loop (n_post) through the surrogate. The synaptic
+products over all steps are one GEMM each: (P @ W) / eta forward, P^T @ G
+/ eta for the weight gradient and G @ (W/eta)^T for the gradient at the
+layer's input. An episode is recorded as one frozen LayerHistory
 of (steps, n) arrays per layer.
 
 Contract against a time-major episode that advances every layer one step
@@ -61,7 +65,7 @@ count): each epoch counts every cell's nonzeros once per weight stack, the
 counts also give the sparsity, and each distinct key is priced once per run.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,21 +141,28 @@ def lif_step(p, q, r, in_spikes, w, params, layer_eta=1.0, soft=False):
             params.gamma * r + s)
 
 
-def _leaky_sum(x, lam, order):
-    """acc = lam * acc + x[:, n] over the steps of a (neurons, steps) array
-    in `order`; each step's acc is stored at n."""
-    out = np.empty_like(x)
-    acc = np.zeros(x.shape[0])
-    for n in order:
-        acc = lam * acc + x[:, n]
-        out[:, n] = acc
+def _leaky(x, lam, reverse=False):
+    """acc = lam * acc + x[n] over the time-major steps of x, from acc = 0.
+
+    Returns acc at every step boundary, (steps + 1, ...): row 0 is the zero
+    start and row n + 1 follows step n; reversed, the steps run from the
+    last, row `steps` is the zero start and row n follows step n.
+    """
+    out = np.empty((len(x) + 1, *x.shape[1:]))
+    acc, x = (out[::-1], x[::-1]) if reverse else (out, x)
+    acc[0] = 0.0
+    for prev, cur, x_n in zip(acc, acc[1:], x):
+        np.multiply(prev, lam, out=cur)
+        cur += x_n
     return out
 
 
 def vr_filter(raster, tau_vr):
     """Leaky accumulation of a (neurons, steps) raster, decay exp(-1/tau)."""
     raster = np.asarray(raster, dtype=np.float64)
-    return _leaky_sum(raster, np.exp(-1.0 / tau_vr), range(raster.shape[1]))
+    # a C-order copy: np.sum pairs terms in memory order, so a distance over
+    # the result sums as the oracle's does
+    return _leaky(raster.T, np.exp(-1.0 / tau_vr))[1:].T.copy()
 
 
 def _distances(e):
@@ -164,17 +175,17 @@ def _loss(s_history, target_filtered, tau_vr):
     """Per-cell van Rossum distances of a batch's output spikes
     (steps, cells, n_out) from the filtered target, and d(distance)/d(output
     spikes), time-major; zero for a cell whose rasters already match.
-    One vr_filter pass runs over every cell's neurons at once."""
-    steps, cells, n_out = s_history.shape
-    out = s_history.transpose(1, 2, 0).reshape(cells * n_out, steps)
-    e = vr_filter(out, tau_vr).reshape(cells, n_out, steps) - target_filtered
+    Each filter pass runs over every cell's neurons at once; each cell's
+    squared errors are summed over its own contiguous (n_out, steps) block."""
+    lam = np.exp(-1.0 / tau_vr)
+    e = np.ascontiguousarray(_leaky(s_history, lam)[1:].transpose(1, 2, 0))
+    e -= target_filtered
     vr = _distances(e)
     matched = vr == 0.0
     e /= np.where(matched, 1.0, vr)[:, None, None]
-    g = _leaky_sum(e.reshape(cells * n_out, steps), np.exp(-1.0 / tau_vr),
-                   range(steps - 1, -1, -1)).reshape(cells, n_out, steps)
-    g[matched] = 0.0
-    return vr, np.ascontiguousarray(g.transpose(2, 0, 1))
+    g = _leaky(e.transpose(2, 0, 1), lam, reverse=True)[:-1]
+    g[:, matched] = 0.0
+    return vr, g
 
 
 def van_rossum(s, t, tau_vr):
@@ -214,14 +225,9 @@ def generate_target(clean, p, seed):
 
 
 def _input_traces(spikes, params):
-    """P[n] for every step of a (steps, cells, n_pre) input raster."""
-    p_hist = np.empty(spikes.shape)
-    q = np.zeros(spikes.shape[1:])
-    p = np.zeros(q.shape)
-    for n in range(len(spikes)):
-        p_hist[n] = p
-        q, p = params.alpha * q + spikes[n], params.beta * p + q
-    return p_hist
+    """P[n] for every step of a (steps, cells, n_pre) input raster:
+    Q[n + 1] = alpha Q[n] + S_in[n], then P[n + 1] = beta P[n] + Q[n]."""
+    return _leaky(_leaky(spikes, params.alpha)[:-1], params.beta)[:-1]
 
 
 def _fire(drive, params, soft):
@@ -299,14 +305,10 @@ def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
 
 
 def _input_gradient(g_in, params):
-    """Reverse P/Q filter: dL/dS_in[n] from g_in[n] = dL/dP[n] via U[n]."""
-    g_s = np.empty(g_in.shape)
-    g_p = np.zeros(g_in.shape[1:])
-    g_q = np.zeros(g_p.shape)
-    for n in range(len(g_in) - 1, -1, -1):
-        g_s[n] = g_q                            # S_in[n] feeds Q[n+1]
-        g_p, g_q = params.beta * g_p + g_in[n], params.alpha * g_q + g_p
-    return g_s
+    """Reverse P/Q filter: dL/dS_in[n] from g_in[n] = dL/dP[n] via U[n].
+    g_p[n] = beta g_p[n + 1] + g_in[n], g_q[n] = alpha g_q[n + 1] + g_p[n + 1],
+    and S_in[n] feeds Q[n + 1], so dL/dS_in[n] = g_q[n + 1]."""
+    return _leaky(_leaky(g_in, params.beta, True)[1:], params.alpha, True)[1:]
 
 
 def _gradients(histories, weights, etas, g_s_ext, params):
@@ -369,6 +371,12 @@ def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
     return [g[0] for g in grads]
 
 
+# the training task: per-input Poisson rates drawn from INPUT_RATES, and a
+# target that keeps each spike of the clean pattern with TARGET_KEEP_P
+INPUT_RATES = (0.02, 0.2)
+TARGET_KEEP_P = 0.95
+
+
 @dataclass
 class NetworkConfig:
     layer_sizes: tuple = (200, 100, 50)
@@ -376,12 +384,6 @@ class NetworkConfig:
     tau_vr: float = 10.0
     lr: float = 5e-4
     lr_anneal: int = 180          # epochs of linear decay to exactly zero; 0 = constant lr
-    rate_lo: float = 0.02
-    rate_hi: float = 0.2
-    target_keep_p: float = 0.95
-    params: LifParams = field(default_factory=LifParams)
-    pattern_period: int = 20
-    pattern_band: int = 3
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(n < 1 for n in self.layer_sizes):
@@ -455,7 +457,7 @@ def _descend(weights, grads, quants, etas, lr, vr, round_rng):
                 weights[li][c] = weights[li][c] - lr * float(vr[c]) * g[c]
 
 
-def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
+def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
     """Gradient-descent pattern retention with per-epoch energy accounting,
     one cell per entry of `quants`, trained as one batch.
 
@@ -467,8 +469,6 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
     TrainResult equals a run of that cell alone. Returns one TrainResult
     per cell, in the order of `quants`.
     """
-    if cost_model is None:
-        cost_model = DEFAULT_MODEL
     schemes = [schemes] if isinstance(schemes, str) else list(schemes)
     for s in schemes:
         if s not in FC_SCHEMES:
@@ -482,27 +482,26 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
         raise ValueError(f"epochs must be >= 0, got {epochs}")
 
     sizes = cfg.layer_sizes
+    params = LifParams()
     rng = CounterRng(seed)
-    rates = rng.spawn(0).uniform_range(cfg.rate_lo, cfg.rate_hi, (sizes[0], 1))
+    rates = rng.spawn(0).uniform_range(*INPUT_RATES, (sizes[0], 1))
     in_raster = generate_poisson_input(sizes[0], cfg.steps, rates,
                                        derive_seed(seed, 1))
-    clean = clean_pattern(sizes[-1], cfg.steps, derive_seed(seed, 2),
-                          cfg.pattern_period, cfg.pattern_band)
-    target = generate_target(clean, cfg.target_keep_p, derive_seed(seed, 3))
+    clean = clean_pattern(sizes[-1], cfg.steps, derive_seed(seed, 2))
+    target = generate_target(clean, TARGET_KEEP_P, derive_seed(seed, 3))
     # the input raster and the target never change: their traces are made once
     p_first = _input_traces(
-        np.ascontiguousarray(in_raster.T, dtype=np.float64)[:, None], cfg.params)
+        np.ascontiguousarray(in_raster.T, dtype=np.float64)[:, None], params)
     target_filtered = vr_filter(target, cfg.tau_vr)
 
     weights = []       # per layer, (cells, n_pre, n_post)
-    etas = []          # per layer, one float per cell
+    etas = []          # per layer, (cells,) scale factors
     for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = np.sqrt(3.0 / n_in)
         w = rng.spawn(10 + li).uniform_range(-bound, bound, (n_in, n_out))
-        etas.append([eta(q.b_w, n_in) if q else 1.0 for q in quants])
+        etas.append(np.array([eta(q.b_w, n_in) if q else 1.0 for q in quants]))
         weights.append(np.stack([quantize_weights(w * e, q.b_w) if q else w
                                  for q, e in zip(quants, etas[li])]))
-    eta_cells = [np.array(e) for e in etas]
     round_rng = rng.spawn(99)
     b_ms = [q.b_m if q else None for q in quants]
 
@@ -512,7 +511,7 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
     priced = {}        # (scheme, b_w, per-layer nnz) -> (fwd_pJ, bwd_pJ)
 
     results = [TrainResult([], {s: [] for s in schemes}, [], None) for _ in quants]
-    histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
+    histories = _episode(p_first, weights, etas, b_ms, params)
     vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
     for res, v in zip(results, vr):
         res.vr_curve.append(float(v))
@@ -522,9 +521,9 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
         # held-at-threshold neurons otherwise chatter forever
         lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal \
             else cfg.lr
-        _descend(weights, _gradients(histories, weights, eta_cells, g_out, cfg.params),
+        _descend(weights, _gradients(histories, weights, etas, g_out, params),
                  quants, etas, lr, vr, round_rng)
-        histories = _episode(p_first, weights, eta_cells, b_ms, cfg.params)
+        histories = _episode(p_first, weights, etas, b_ms, params)
         vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
         counts = zip(*(np.count_nonzero(w, axis=(1, 2)).tolist() for w in weights))
         for res, v, b_w, nnz in zip(results, vr, b_ws, counts):
@@ -542,7 +541,7 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=None):
     return results
 
 
-def train(cfg, scheme, quant, epochs, seed, cost_model=None):
+def train(cfg, scheme, quant, epochs, seed, cost_model=DEFAULT_MODEL):
     """Gradient-descent pattern retention with per-epoch energy accounting:
     the one-cell call of train_cells.
 

@@ -14,8 +14,9 @@ import numpy as np
 from synmem.quant import (eta, quantize_error, quantize_membrane, quantize_weights,
                           sigma, stochastic_round, weight_range)
 from synmem.rng import CounterRng, derive_seed
-from synmem.snn import (LayerHistory, clean_pattern, generate_poisson_input,
-                        generate_target, lif_step, surrogate_derivative)
+from synmem.snn import (INPUT_RATES, TARGET_KEEP_P, LayerHistory, LifParams,
+                        clean_pattern, generate_poisson_input, generate_target,
+                        lif_step, surrogate_derivative)
 
 
 def _filter(raster, tau_vr):
@@ -130,12 +131,12 @@ def train(cfg, quant, epochs, seed):
     gradients: the same inputs, initial weights, lr schedule and rounding
     stream. Returns the per-epoch distances and the final weights."""
     sizes = cfg.layer_sizes
+    params = LifParams()
     rng = CounterRng(seed)
-    rates = rng.spawn(0).uniform_range(cfg.rate_lo, cfg.rate_hi, (sizes[0], 1))
+    rates = rng.spawn(0).uniform_range(*INPUT_RATES, (sizes[0], 1))
     in_raster = generate_poisson_input(sizes[0], cfg.steps, rates, derive_seed(seed, 1))
-    clean = clean_pattern(sizes[-1], cfg.steps, derive_seed(seed, 2),
-                          cfg.pattern_period, cfg.pattern_band)
-    target = generate_target(clean, cfg.target_keep_p, derive_seed(seed, 3))
+    clean = clean_pattern(sizes[-1], cfg.steps, derive_seed(seed, 2))
+    target = generate_target(clean, TARGET_KEEP_P, derive_seed(seed, 3))
     etas = [eta(quant.b_w, n) for n in sizes[:-1]]
     weights = []
     for li, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -144,16 +145,16 @@ def train(cfg, quant, epochs, seed):
         weights.append(quantize_weights(w * etas[li], quant.b_w))
     round_rng = rng.spawn(99)
     lo, hi = weight_range(quant.b_w)
-    out, histories = run_episode(weights, in_raster, cfg.params, etas, quant.b_m)
+    out, histories = run_episode(weights, in_raster, params, etas, quant.b_m)
     curve = [distance(out, target, cfg.tau_vr)]
     for epoch in range(epochs):
         lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal else cfg.lr
-        grads = bptt_gradients(histories, weights, out, target, cfg.params,
+        grads = bptt_gradients(histories, weights, out, target, params,
                                cfg.tau_vr, etas)
         for li, g in enumerate(grads):
             stepped = weights[li] - lr * etas[li] * quantize_error(g, quant.b_e)
             weights[li] = np.clip(stochastic_round(stepped, sigma(quant.b_w), round_rng),
                                   lo, hi)
-        out, histories = run_episode(weights, in_raster, cfg.params, etas, quant.b_m)
+        out, histories = run_episode(weights, in_raster, params, etas, quant.b_m)
         curve.append(distance(out, target, cfg.tau_vr))
     return curve, weights

@@ -459,6 +459,97 @@ def test_default_sweep_bytes_are_fixed_and_seed_free(tmp_path, command):
     assert (tmp_path / "9" / name).read_bytes() == data
 
 
+# sha256 of every train-frontier file, manifest included, at the benchmark's
+# `train` workload config, recorded before the training engine's leaky
+# filters became one
+TRAIN_WORKLOAD = {"train_frontier": {"layer_sizes": [200, 100, 50], "steps": 100,
+                                     "epochs": 10, "bit_widths": [2, 3, 4, 5, 6],
+                                     "schemes": ["CB", "PB-BMP", "PB-CSR"]}}
+TRAIN_WORKLOAD_SHA256 = {
+    0: {
+        "curve_CB_2b.csv":
+            "9bde7bbb4e8d7c8ee2aad52009ca869636c9ecdf79b1be3573672a362f6f0b8a",
+        "curve_CB_3b.csv":
+            "a665b90a0343fee700f2b260a9e8ecef075423cec2828472aaa05a9287af19ef",
+        "curve_CB_4b.csv":
+            "44c86116720ef429ab44b0c0d536d232e0f71acbd23d3c88c0ff3987d5c011ba",
+        "curve_CB_5b.csv":
+            "73e2156f2b8b8ba044a857069e787431217b998de6e1b2b3e885d1b50a12ad83",
+        "curve_CB_6b.csv":
+            "606f09447704b7b7f72d0bfaf4143151e2faa64db7bae7008477fa4b297770ee",
+        "curve_PB_BMP_2b.csv":
+            "75adce9c3c9cd349df3899366aab19fb4b8868a7a805d009c6902964c0b7bbb3",
+        "curve_PB_BMP_3b.csv":
+            "40478e14f12910184ff4219749dadee22d87bac028e4f1b2af857cd169292350",
+        "curve_PB_BMP_4b.csv":
+            "79d8c91885b0b8e1ad028f81208dcfd756f2f8499125bfa51b89f7db54465704",
+        "curve_PB_BMP_5b.csv":
+            "9936e307d3538232a1eb222caa3acb0ee54c3721839c0bed97a292f332e68ff3",
+        "curve_PB_BMP_6b.csv":
+            "9bd033494d966399086350f4f6fbfd28d8ff388010cf2a8d39aa02c6cad63a80",
+        "curve_PB_CSR_2b.csv":
+            "cf16e1249787336aba71a8111950156305af7bdb2ca69db502951d6fd0b1c5bc",
+        "curve_PB_CSR_3b.csv":
+            "62ea61d1a7d7c5548ee31ac9298b4377f607629269918246c38754c73597b2ed",
+        "curve_PB_CSR_4b.csv":
+            "5d98677a0b5a0560b2b0399625a25a3c56be2b0468fead7aa55f8dd5e6eb1f29",
+        "curve_PB_CSR_5b.csv":
+            "935f42bcc861c7a20c87c50ac1ddb136f75f05ff1012613ede80370e48dfa56d",
+        "curve_PB_CSR_6b.csv":
+            "b0b08b4bd366cd1461967e62acbbacf8494e4209170bff0a16ff8839e1b05673",
+        "frontier.csv":
+            "2e0931ea341f9d49c987876d13ee89594ce771b154ddf70d8fb2dea6c38ebf33",
+        "run_manifest.json":
+            "28a789e8e7132843cfb907800a303b015585dd948f98c0ab472a68ef9001bc96",
+    },
+    9: {
+        "curve_CB_2b.csv":
+            "96e25a601b596f9467ca16142f0d4ae9679f23b5f5c31e87e9467f12b3f4aebd",
+        "curve_CB_3b.csv":
+            "a99ef417b7c2713f06bb250cc54960742fc3f38cb48ddc83e27f4a9c0a4ed11a",
+        "curve_CB_4b.csv":
+            "f1869bf0ccc8d45b12173885fda61621fa055234071691b6ff7c3f64444d73fc",
+        "curve_CB_5b.csv":
+            "2a9c5a12b9694bc2068db683e6e777952fa89f518411ec8782ca3c5c53a8d8cd",
+        "curve_CB_6b.csv":
+            "6a5468bb28f7b41c74aaa26cebb1cb23bf2159637a9e050a5cf3c98f06d8ac66",
+        "curve_PB_BMP_2b.csv":
+            "7b6394e9e22906d60597abb0535732770ce0e8b3b3b15874e128f76cad535c2f",
+        "curve_PB_BMP_3b.csv":
+            "9d78381cf734df67b291b624c6d9b5b79a5328e89a0c72331acbaee9768e19a5",
+        "curve_PB_BMP_4b.csv":
+            "703f9e34454d80bb01fc08aee474d0bfd28b663f0727c1afca92cacccebbb987",
+        "curve_PB_BMP_5b.csv":
+            "aa8fd5581917a4c07c11ebbf0945a46eb111cd025d371cc530a70039f94ae74f",
+        "curve_PB_BMP_6b.csv":
+            "efb68da03fd97b36b598212e4ffc6ffa8bd70d361734e3308e7d768fb96025bf",
+        "curve_PB_CSR_2b.csv":
+            "60dcb456aab9cf14c4301f3f9c5fecbf7af8e1f38d66c89dd51cb438f3ec166a",
+        "curve_PB_CSR_3b.csv":
+            "561336637a60d6f33eb89257837b03920b9004c58cc9cb1235bbd129e8389d1b",
+        "curve_PB_CSR_4b.csv":
+            "55b3a63da01147b4b4ffc9aa1cff288076efd8573241f94c6e3a5f1ab381c730",
+        "curve_PB_CSR_5b.csv":
+            "5efc18bacb65363f4b98183ab4b445422a5d7f95b35af321f3e68fcc673084cf",
+        "curve_PB_CSR_6b.csv":
+            "4e067415a02758097ce15579344aa046cf13d5055aaf3961f0a8e72eb537a6de",
+        "frontier.csv":
+            "e65f117e2ff91e006d8e12c26c2538379d7687b9b369be3b50ef410cb562a39b",
+        "run_manifest.json":
+            "0c909528e133f56eb4f4904e9c062a9674ccbe72851c06890927cc4c7f419bf0",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRAIN_WORKLOAD_SHA256))
+def test_train_workload_bytes_are_fixed(tmp_path, seed):
+    cfg = write_cfg(tmp_path, TRAIN_WORKLOAD)
+    out = tmp_path / "out"
+    assert run(["train-frontier", "--config", cfg, "--out", out, "--seed", seed]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in os.listdir(out)} == TRAIN_WORKLOAD_SHA256[seed]
+
+
 @pytest.mark.parametrize("command,section", COMMAND_SECTIONS)
 def test_out_holds_exactly_the_manifest_outputs(tmp_path, command, section):
     cfg = write_cfg(tmp_path, section)

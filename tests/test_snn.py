@@ -15,7 +15,7 @@ from synmem.energy import DEFAULT_MODEL, pass_energy
 from synmem.matrix import SynapseMatrix
 from synmem.quant import QuantConfig, eta, quantize_weights
 from synmem.rng import CounterRng
-from synmem.snn import (LifParams, NetworkConfig, bptt_gradients, clean_pattern,
+from synmem.snn import (LifParams, NetworkConfig, _loss, bptt_gradients, clean_pattern,
                         generate_poisson_input, generate_target, lif_step,
                         run_episode, surrogate_derivative, train, train_cells,
                         van_rossum, vr_filter)
@@ -166,6 +166,28 @@ class TestVanRossum:
         lam = np.exp(-1.0 / 2.0)
         got = vr_filter(s, 2.0)
         assert got[0] == pytest.approx([1.0, lam, lam * lam + 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=hst.integers(1, 12), steps=hst.integers(1, 30), cells=hst.integers(1, 3),
+           tau=hst.floats(0.1, 100.0), copy=hst.booleans(),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_filter_and_loss_match_oracle_bit_for_bit(self, n, steps, cells, tau,
+                                                      copy, seed):
+        rng = CounterRng(seed)
+        target = rng.bernoulli(0.3, (n, steps))
+        outs = [rng.bernoulli(0.3, (n, steps)).astype(np.float64) for _ in range(cells)]
+        if copy:
+            outs[0] = target.astype(np.float64)     # a cell whose raster matches
+        want = reference_snn._filter(target, tau)
+        assert vr_filter(target, tau).tobytes() == want.tobytes()
+        assert van_rossum(outs[-1], target, tau) == reference_snn.distance(outs[-1],
+                                                                            target, tau)
+        s_history = np.ascontiguousarray(np.stack(outs).transpose(2, 0, 1))
+        vr, g = _loss(s_history, vr_filter(target, tau), tau)
+        for c, out in enumerate(outs):
+            want_g, want_vr = reference_snn._loss_spike_gradient(out, target, tau)
+            assert np.float64(want_vr).tobytes() == vr[c].tobytes()
+            assert np.ascontiguousarray(g[:, c].T).tobytes() == want_g.tobytes()
 
 
 class TestGenerators:

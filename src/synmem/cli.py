@@ -79,16 +79,16 @@ _TYPE_TEXT = {
     "bool": "true or false",
     "int list": "a nonempty list of integers",
     "distinct int list": "a nonempty list of distinct integers",
-    "grid axis": 'a list of at least 2 numbers or {"min", "max", "steps"} '
-                 "with integer steps >= 2",
+    "grid axis": 'a list of at least 2 distinct numbers or {"min", "max", "steps"} '
+                 "with integer steps >= 2 giving distinct points",
     "scheme list": f"a nonempty list of distinct names from {', '.join(FC_SCHEMES)}",
 }
 # list type -> (item type, least length, whether items must differ)
 _LISTS = {"int list": ("int", 1, False), "distinct int list": ("int", 1, True),
-          "grid axis": ("float", 2, False), "scheme list": ("scheme", 1, True)}
+          "grid axis": ("float", 2, True), "scheme list": ("scheme", 1, True)}
 
 # section -> key -> Key. Ranges that ConvGeometry (odd kernels), QuantConfig
-# (b_w, b_e, b_m >= 2) and NetworkConfig (layer shape, steps, tau_vr, lr,
+# (b_w, b_e, b_m in [2, 64]) and NetworkConfig (layer shape, steps, tau_vr, lr,
 # lr_anneal) check when they are built are left to them.
 CONFIG_KEYS = {
     "fc_sweep": {
@@ -244,17 +244,19 @@ def _typed(key, value):
             return None
         points = _grid_axis(typed)
     elif key.type in _LISTS:
-        item, least, distinct = _LISTS[key.type]
+        item, least, _ = _LISTS[key.type]
         if not isinstance(value, list) or len(value) < least:
             return None
         typed = points = [_scalar(item, v) for v in value]
-        if None in typed or (distinct and len(set(typed)) < len(typed)):
+        if None in typed:
             return None
     else:
         typed = _scalar(key.type, value)
         if typed is None:
             return None
         points = [typed]
+    if key.type in _LISTS and _LISTS[key.type][2] and len(set(points)) < len(points):
+        return None
     if key.lo is not None and any(x < key.lo for x in points):
         return None
     if key.hi is not None and any(x >= key.hi if key.hi_open else x > key.hi

@@ -100,12 +100,6 @@ class CostModel:
         words = next_pow2(n) if self.round_pow2 and n else n     # 0 words hold nothing
         return words * bank.word_bits
 
-    def bank_read(self, bank):
-        return self.e_read(self.bank_capacity(bank), bank.word_bits)
-
-    def bank_write(self, bank):
-        return self.e_write(self.bank_capacity(bank), bank.word_bits)
-
     def constants(self):
         return asdict(self)
 
@@ -147,12 +141,24 @@ def pass_energy(trace, model, scheme=""):
     for bank, reads, writes in trace.banks():
         if bank.word_bits < 0 or bank.n_words < 0:
             raise ValueError(f"invalid bank metadata {bank}")
-        active += reads * model.bank_read(bank) + writes * model.bank_write(bank)
-        leak_rate += model.p_leak(model.bank_capacity(bank))
+        capacity = model.bank_capacity(bank)
+        active += (reads * model.e_read(capacity, bank.word_bits)
+                   + writes * model.e_write(capacity, bank.word_bits))
+        leak_rate += model.p_leak(capacity)
     t_pass = trace.total_accesses * model.t_access
     return PassEnergyReport(finite_energy(active, "%s active energy", scheme),
                             finite_energy(leak_rate * t_pass, "%s leakage", scheme),
                             leak_rate)
+
+
+def pass_pair(traces, model, scheme=""):
+    """(forward, backward) PassEnergyReports of a layer's (forward,
+    backward_scan, update) traces: the backward pass is the scan plus the update."""
+    fwd, scan, update = traces
+    return pass_energy(fwd, model, scheme), pass_energy(scan + update, model, scheme)
+
+
+_REFERENCE_CONV = ConvGeometry(28, 28, 3, 3, 32, 32)
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ class FcLayer:
 
 @dataclass(frozen=True)
 class ConvLayer:
-    geometry: ConvGeometry = ConvGeometry(28, 28, 3, 3, 32, 32)
+    geometry: ConvGeometry = _REFERENCE_CONV
 
 
 def _fc_traces(n_pre, n_post, nnz, b_w, w_word, schemes=FC_SCHEMES):
@@ -198,9 +204,7 @@ def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, w_word=32,
         triples = _layer_traces(layer, b_w, w_word, include_crossbar)
         group = []
         for name in sorted(triples):
-            fwd_t, bwd_t, upd_t = triples[name]
-            fwd = pass_energy(fwd_t, model, name)
-            bwd = pass_energy(bwd_t + upd_t, model, name)
+            fwd, bwd = pass_pair(triples[name], model, name)
             group.append({
                 "scheme": name,
                 "b_w": b_w,
@@ -239,9 +243,8 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
         traces = _fc_traces(n_pre, n_post, nnz, b_w, w_word)
         active = {}
         leak_rate = {}
-        for name, (fwd_t, bwd_t, upd_t) in traces.items():
-            fwd = pass_energy(fwd_t, model, name)
-            bwd = pass_energy(bwd_t + upd_t, model, name)
+        for name, triple in traces.items():
+            fwd, bwd = pass_pair(triple, model, name)
             active[name] = (fwd.active_energy, bwd.active_energy)
             # the forward trace lists every bank of the layout
             leak_rate[name] = fwd.leak_rate
@@ -272,23 +275,21 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
     return rows
 
 
-_REFERENCE_CONV = ConvGeometry(28, 28, 3, 3, 32, 32)
 _REFERENCE_BW = 8
 DEFAULT_ANCHORS = {"conv_forward_ratio": 1.03, "conv_backward_ratio": 0.42}
-
-
-def _trace_read_energy(trace, model):
-    return sum(r * model.bank_read(b) for b, r, _ in trace.banks())
 
 
 def calibrate_defaults(anchors=None):
     """Solve e_logic and b_write so the reference conv layer hits the anchors.
 
     anchors: {"conv_forward_ratio": x, "conv_backward_ratio": y}. An empty or
-    missing anchor set returns the factory constants unchanged. The forward
-    anchor fixes e_logic linearly; the backward anchor fixes b_write by a
-    short fixed-point iteration. Raises CalibrationError when the anchors
-    admit no positive constants or fail the qualitative orderings.
+    missing anchor set returns the factory constants unchanged. Active energy
+    is affine in e_logic and in b_write, so the anchors are two linear
+    equations in `pass_pair` energies of the layer. PB-CSR's forward pass
+    evaluates no logic, so the forward anchor fixes e_logic alone; with it,
+    FUNC's and PB-CSR's backward energies at b_write 0 and 1 fix b_write.
+    Raises CalibrationError when the anchors admit no positive constants or
+    fail the qualitative orderings.
     """
     if not anchors:
         return dict(FACTORY_CONSTANTS)
@@ -300,41 +301,30 @@ def calibrate_defaults(anchors=None):
     if rho_f <= 0 or rho_b <= 0:
         raise CalibrationError("anchor ratios must be positive")
 
-    base = CostModel(**{**FACTORY_CONSTANTS, "e_logic": 0.0, "b_write": 0.0})
-    g = _REFERENCE_CONV
-    csr_f, csr_b, csr_u = fc_pass_traces("PB-CSR", g.n_pre, g.n_post,
-                                         connection_count(g), _REFERENCE_BW)
-    fun_f, fun_b, fun_u = functional_pass_traces(g, _REFERENCE_BW)
-    csr_fwd_reads = _trace_read_energy(csr_f, base)
-    fun_fwd_reads = _trace_read_energy(fun_f, base)
+    traces = _layer_traces(ConvLayer(), _REFERENCE_BW, w_word=32, include_crossbar=False)
 
-    e_logic = (rho_f * csr_fwd_reads - fun_fwd_reads) / fun_f.logic_evals
+    def priced(e_logic, b_write):
+        """{scheme: (forward_pJ, backward_pJ)} of the layer at these constants."""
+        model = CostModel(**{**FACTORY_CONSTANTS, "e_logic": e_logic, "b_write": b_write})
+        return {name: tuple(r.active_energy for r in pass_pair(t, model, name))
+                for name, t in traces.items()}
+
+    base = priced(0.0, 0.0)
+    e_logic = ((rho_f * base["PB-CSR"][0] - base["FUNC"][0])
+               / traces["FUNC"][0].logic_evals)
     if e_logic <= 0:
         raise CalibrationError(
             f"forward anchor {rho_f} needs nonpositive logic energy")
 
-    csr_bwd_reads = _trace_read_energy(csr_b, base)
-    fun_bwd_reads = _trace_read_energy(fun_b, base)
-    (fun_wt,) = [b for b, _, w in fun_u.banks() if w]
-    (csr_wt,) = [b for b, _, w in csr_u.banks() if w]
-    fun_writes = fun_u.weight_writes
-    csr_writes = csr_u.weight_writes
-
-    b_write = FACTORY_CONSTANTS["b_write"]
-    for _ in range(100):
-        m = CostModel(**{**FACTORY_CONSTANTS, "e_logic": e_logic, "b_write": b_write})
-        b_fun = (fun_b.logic_evals * e_logic + fun_bwd_reads
-                 + fun_writes * m.bank_write(fun_wt))
-        w_csr = (b_fun / rho_b - csr_bwd_reads) / csr_writes
-        per_word = w_csr / (m.a_write * csr_wt.word_bits) - 1.0
-        if per_word <= 0:
-            raise CalibrationError(
-                f"backward anchor {rho_b} needs nonpositive write energy")
-        b_new = per_word / math.sqrt(m.bank_capacity(csr_wt))
-        if abs(b_new - b_write) < 1e-15:
-            b_write = b_new
-            break
-        b_write = b_new
+    at0, at1 = priced(e_logic, 0.0), priced(e_logic, 1.0)
+    c0, c1 = at0["PB-CSR"][1], at1["PB-CSR"][1]
+    f0, f1 = at0["FUNC"][1], at1["FUNC"][1]
+    # rho_b * (c0 + b * (c1 - c0)) == f0 + b * (f1 - f0); a level slope has no root
+    slope = rho_b * (c1 - c0) - (f1 - f0)
+    b_write = (f0 - rho_b * c0) / slope if slope else 0.0
+    if b_write <= 0:
+        raise CalibrationError(
+            f"backward anchor {rho_b} needs nonpositive write energy")
 
     constants = {**FACTORY_CONSTANTS, "e_logic": e_logic, "b_write": b_write}
     _check_orderings(CostModel(**constants))

@@ -96,9 +96,9 @@ class QuantConfig:
     b_m: int = 16
 
     def __post_init__(self):
-        for field in ("b_w", "b_e", "b_m"):
-            if getattr(self, field) < 2:
-                raise ValueError(f"{field} must be >= 2, got {getattr(self, field)}")
+        for field in ("b_w", "b_e", "b_m"):     # a stored word holds at most 64 bits
+            if not 2 <= getattr(self, field) <= 64:
+                raise ValueError(f"{field} must be in [2, 64], got {getattr(self, field)}")
         if self.fan_in < 1:
             raise ValueError(f"fan_in must be >= 1, got {self.fan_in}")
 

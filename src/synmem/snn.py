@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DEFAULT_MODEL, finite_energy, pass_energy
+from .energy import DEFAULT_MODEL, finite_energy, pass_pair
 from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
                     sigma, stochastic_round_with, weight_range)
 from .rng import CounterRng, derive_seed
@@ -430,10 +430,11 @@ def _epoch_energy(scheme, shapes, nnz, b_w, steps, cost_model):
     run develops shows up in the sparse schemes' traffic and capacities."""
     fwd_pj = bwd_pj = 0.0
     for (n_pre, n_post), n in zip(shapes, nnz):
-        fwd_1, bwd_1, upd_t = fc_pass_traces(scheme, n_pre, n_post, n, b_w)
-        fwd_pj += pass_energy(fwd_1.scaled(steps), cost_model, scheme).active_energy
-        bwd_pj += pass_energy(bwd_1.scaled(steps) + upd_t, cost_model,
-                              scheme).active_energy
+        fwd_1, scan_1, upd_t = fc_pass_traces(scheme, n_pre, n_post, n, b_w)
+        fwd, bwd = pass_pair((fwd_1.scaled(steps), scan_1.scaled(steps), upd_t),
+                             cost_model, scheme)
+        fwd_pj += fwd.active_energy
+        bwd_pj += bwd.active_energy
     return fwd_pj, bwd_pj
 
 

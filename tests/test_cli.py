@@ -206,6 +206,10 @@ class TestConfigTable:
          "density_leak_grid.densities"),
         ("density_leak_grid", {"densities": "ab"}, "density_leak_grid.densities"),
         ("density_leak_grid", {"densities": {"min": 0.1}}, "density_leak_grid.densities"),
+        ("density_leak_grid", {"leak_fractions": [0.0, 0.0]},
+         "density_leak_grid.leak_fractions"),
+        ("density_leak_grid", {"densities": {"min": 0.5, "max": 0.5, "steps": 3}},
+         "density_leak_grid.densities"),
         ("train_frontier", {"steps": None}, "train_frontier.steps"),
         ("train_frontier", {"layer_sizes": 6}, "train_frontier.layer_sizes"),
         ("train_frontier", {"tau_vr": 0.0}, "train_frontier: tau_vr"),
@@ -219,14 +223,19 @@ class TestConfigTable:
         ("train_frontier", {"lr": float("nan")}, "train_frontier.lr"),
         ("train_frontier", {"lr": -1e-4}, "train_frontier: lr"),
         ("conv_sweep", {"k_h": 2}, "conv_sweep: kernel extents must be odd"),
+        ("train_frontier", {"bit_widths": [1100]},
+         "train_frontier: b_w must be in [2, 64]"),
+        ("train_frontier", {"b_e": 1100, "b_m": 1100},
+         "train_frontier: b_e must be in [2, 64]"),
     ], ids=["bit-widths-string", "fc-bit-widths-repeated", "conv-bit-widths-repeated",
             "n-pre-fraction", "n-pre-bool", "density-string",
             "include-crossbar-string", "fractional-steps", "axis-string",
-            "axis-without-max-and-steps", "steps-null", "layer-sizes-int",
+            "axis-without-max-and-steps", "axis-list-repeated", "axis-range-repeated",
+            "steps-null", "layer-sizes-int",
             "tau-vr-zero", "tau-vr-negative", "lr-anneal-negative",
             "epochs-negative", "layer-sizes-fraction", "schemes-string",
             "schemes-duplicate", "bit-widths-repeated", "lr-nan", "lr-negative",
-            "conv-kernel-even"])
+            "conv-kernel-even", "bit-width-past-64", "error-and-membrane-past-64"])
     def test_probed_fault_is_a_config_error(self, tmp_path, capsys, section,
                                             override, names):
         base = dict(SMALL_TRAIN["train_frontier"]) if section == "train_frontier" else {}

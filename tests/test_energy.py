@@ -9,11 +9,11 @@ from synmem.conv import ConvGeometry
 from synmem.energy import (CalibrationError, ConvLayer, CostModel,
                            DEFAULT_ANCHORS, DEFAULT_MODEL, EnergyOverflowError,
                            FACTORY_CONSTANTS, FcLayer, calibrate_defaults, layer_sweep,
-                           load_cost_model, next_pow2, pass_energy,
+                           load_cost_model, next_pow2, pass_energy, pass_pair,
                            sweep_density_leakage)
 from synmem.matrix import nnz_at_density, random_mask, random_synapse_matrix
 from synmem.rng import CounterRng
-from synmem.stores import build_crossbar, build_csr
+from synmem.stores import FC_SCHEMES, build_crossbar, build_csr, fc_pass_traces
 from synmem.trace import AccessTrace, MemBank
 
 
@@ -138,6 +138,13 @@ class TestPassEnergy:
         b = pass_energy(t, DEFAULT_MODEL, scheme="PB-BMP")
         assert a.active_energy == b.active_energy
         assert a.leakage_energy == b.leakage_energy
+
+    @pytest.mark.parametrize("scheme", FC_SCHEMES)
+    def test_pair_prices_backward_as_scan_plus_update(self, scheme):
+        fwd_t, scan_t, upd_t = traces = fc_pass_traces(scheme, 48, 32, 700, 6)
+        fwd, bwd = pass_pair(traces, DEFAULT_MODEL, scheme)
+        assert fwd == pass_energy(fwd_t, DEFAULT_MODEL)
+        assert bwd == pass_energy(scan_t + upd_t, DEFAULT_MODEL)
 
 
 class TestLayerSweep:
@@ -270,22 +277,22 @@ class TestCountPath:
 class TestCalibration:
     def test_factory_constants_are_the_default_anchor_solution(self):
         c = calibrate_defaults(DEFAULT_ANCHORS)
-        for key, val in FACTORY_CONSTANTS.items():
-            assert c[key] == pytest.approx(val, rel=1e-9), key
+        assert c == FACTORY_CONSTANTS
 
     def test_empty_anchors_return_factory(self):
         assert calibrate_defaults({}) == dict(FACTORY_CONSTANTS)
         assert calibrate_defaults(None) == dict(FACTORY_CONSTANTS)
 
-    def test_anchored_ratios_are_reproduced(self):
-        anchors = {"conv_forward_ratio": 1.05, "conv_backward_ratio": 0.5}
+    @pytest.mark.parametrize("rho_f,rho_b", [(1.05, 0.5), (1.03, 0.05), (1.03, 1.0)])
+    def test_anchored_ratios_are_reproduced(self, rho_f, rho_b):
+        anchors = {"conv_forward_ratio": rho_f, "conv_backward_ratio": rho_b}
         model = CostModel(**calibrate_defaults(anchors))
         rows = layer_sweep(ConvLayer(), [8], model)
         by = {r["scheme"]: r for r in rows}
         assert by["FUNC"]["forward_pJ"] / by["PB-CSR"]["forward_pJ"] == \
-            pytest.approx(1.05, rel=1e-6)
+            pytest.approx(rho_f, rel=1e-6)
         assert by["FUNC"]["backward_pJ"] / by["PB-CSR"]["backward_pJ"] == \
-            pytest.approx(0.5, rel=1e-6)
+            pytest.approx(rho_b, rel=1e-6)
 
     def test_perturbed_anchors_keep_orderings(self):
         for df, db in ((1.1, 1.1), (0.9, 0.9), (1.1, 0.9)):
@@ -297,6 +304,18 @@ class TestCalibration:
             rows = layer_sweep(FcLayer(), [8], model)
             by = {r["scheme"]: r for r in rows}
             assert by["PB-BMP"]["forward_pJ"] < by["CB"]["forward_pJ"]
+
+    def test_backward_anchor_out_of_reach_fails_loudly(self):
+        # at this ratio FUNC's and PB-CSR's backward energies grow alike in
+        # b_write, so no finite b_write meets the anchor
+        def backward(b_write):
+            model = CostModel(**{**FACTORY_CONSTANTS, "b_write": b_write})
+            return {r["scheme"]: r["backward_pJ"]
+                    for r in layer_sweep(ConvLayer(), [8], model)}
+        at0, at1 = backward(0.0), backward(1.0)
+        rho_b = (at1["FUNC"] - at0["FUNC"]) / (at1["PB-CSR"] - at0["PB-CSR"])
+        with pytest.raises(CalibrationError, match="backward anchor"):
+            calibrate_defaults({"conv_backward_ratio": rho_b})
 
     def test_infeasible_anchors_fail_loudly(self):
         with pytest.raises(CalibrationError):

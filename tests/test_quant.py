@@ -134,5 +134,9 @@ def test_quant_config_validation():
     assert cfg.eta == eta(6, 728)
     with pytest.raises(ValueError):
         QuantConfig(b_w=1, fan_in=10)
+    assert QuantConfig(b_w=64, fan_in=10, b_e=64, b_m=64).b_m == 64
+    for field in ("b_w", "b_e", "b_m"):
+        with pytest.raises(ValueError, match=rf"{field} must be in \[2, 64\]"):
+            QuantConfig(**{"b_w": 4, "fan_in": 10, field: 65})
     with pytest.raises(ValueError):
         QuantConfig(b_w=4, fan_in=0)

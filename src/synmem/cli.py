@@ -19,8 +19,10 @@ versions; no timestamps or absolute paths, so reruns are byte-identical.
 
 Exit codes: 0 ok, 2 config error. A cost model whose constants are each
 valid but together overflow an energy figure (EnergyOverflowError) is a
-config error too. Any other exception raised while a command computes is
-a bug and propagates. --out is created only once every row is computed.
+config error too, as is an --out that names a file or lies under one
+(refused before the command runs). Any other exception raised while a
+command computes is a bug and propagates. --out is created only once
+every row is computed.
 """
 
 import argparse
@@ -87,31 +89,33 @@ _TYPE_TEXT = {
 _LISTS = {"int list": ("int", 1, False), "distinct int list": ("int", 1, True),
           "grid axis": ("float", 2, True), "scheme list": ("scheme", 1, True)}
 
-# section -> key -> Key. Ranges that ConvGeometry (odd kernels), QuantConfig
-# (b_w, b_e, b_m in [2, 64]) and NetworkConfig (layer shape, steps, tau_vr, lr,
-# lr_anneal) check when they are built are left to them.
+# section -> key -> Key. Extents stop at the container's u32 and u16 fields, word
+# widths at 64 bits. Ranges that ConvGeometry (odd kernels), QuantConfig (b_w, b_e,
+# b_m in [2, 64]) and NetworkConfig (layer shape, steps, tau_vr, lr, lr_anneal)
+# check when they are built are left to them.
+_U32, _U16 = 2 ** 32 - 1, 2 ** 16 - 1
 CONFIG_KEYS = {
     "fc_sweep": {
-        "n_pre": Key(728, "int", 1),
-        "n_post": Key(128, "int", 1),
+        "n_pre": Key(728, "int", 1, _U32),
+        "n_post": Key(128, "int", 1, _U32),
         "density": Key(0.75, "float", 0.0, 1.0),
-        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "distinct int list", 1),
+        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "distinct int list", 1, 64),
         "w_word": Key(32, "int", 1, 64),
     },
     "conv_sweep": {
-        "in_h": Key(28, "int", 1),
-        "in_w": Key(28, "int", 1),
-        "k_h": Key(3, "int", 1),
-        "k_w": Key(3, "int", 1),
-        "c_in": Key(32, "int", 1),
-        "c_out": Key(32, "int", 1),
-        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "distinct int list", 1),
+        "in_h": Key(28, "int", 1, _U32),
+        "in_w": Key(28, "int", 1, _U32),
+        "k_h": Key(3, "int", 1, _U16),
+        "k_w": Key(3, "int", 1, _U16),
+        "c_in": Key(32, "int", 1, _U32),
+        "c_out": Key(32, "int", 1, _U32),
+        "bit_widths": Key([2, 3, 4, 5, 6, 7, 8], "distinct int list", 1, 64),
         "include_crossbar": Key(False, "bool"),
     },
     "density_leak_grid": {
-        "n_pre": Key(728, "int", 1),
-        "n_post": Key(128, "int", 1),
-        "b_w": Key(8, "int", 1),
+        "n_pre": Key(728, "int", 1, _U32),
+        "n_post": Key(128, "int", 1, _U32),
+        "b_w": Key(8, "int", 1, 64),
         "densities": Key({"min": 0.05, "max": 1.0, "steps": 10}, "grid axis", 0.0, 1.0),
         "leak_fractions": Key({"min": 0.0, "max": 0.9, "steps": 10}, "grid axis",
                               0.0, 1.0, hi_open=True),
@@ -291,6 +295,15 @@ def _grid_axis(axis):
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
+def _check_out(out_dir):
+    """Refuse an output directory that names a file or lies under one."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out_dir}: {path} is not a directory")
+
+
 def _write_outputs(out_dir, command, cfg, seed, outputs):
     """Create `out_dir` and write each {file name: (schema, rows)} CSV and the
     manifest listing them."""
@@ -412,6 +425,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.command == "train-frontier" and args.full_scale:
             cfg["train_frontier"].update(_FULL_SCALE)
+        _check_out(args.out)
         outputs = _COMMANDS[args.command](cfg, _cost_model(cfg), args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ from adding centered kernel offsets to its coordinates (forward), and the
 fanin of a postsynaptic neuron from subtracting them (reverse), with a
 bounds check rejecting out-of-image candidates so no spurious word is
 fetched. Only the kernel weights occupy memory. That bounds check lives
-once, in `_taps`, which the forward and reverse lookups and
-`csr_from_conv` all call.
+once, in `_taps`, an in-image mask over the kernel taps of one position
+or of a whole array of them: the forward and reverse lookups call it per
+neuron, and `csr_from_conv` once for the whole image.
 
 Geometry is stride 1 with zero ("same") padding, so input and output share
 the spatial extent. Neuron ids flatten as (row * in_w + col) * channels +
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import SynapseMatrix
-from .stores import CsrStore, quantize_for_store
+from .stores import CsrStore, quantize_for_store, row_starts
 from .trace import AccessTrace, MemBank
 
 
@@ -81,28 +82,31 @@ def _check_spatial(g, r, c, what):
 
 
 def _taps(g, r, c, sign):
-    """Kernel offsets (dr, dc) whose tap from (r, c) lands inside the image.
+    """In-image mask of the kernel taps from positions (r, c).
 
-    The tap of offset (dr, dc) is (r + sign * dr, c + sign * dc): sign 1
-    walks a pre's fanout, sign -1 a post's fanin. Offsets come in row-major
-    kernel order; for sign 1 that is ascending post position, which
-    csr_from_conv relies on.
+    r and c are positions or broadcasting arrays of them; the mask adds axes
+    (k_h, k_w). Entry [..., kr, kc] says whether the tap (r + sign * dr,
+    c + sign * dc) of offset (dr, dc) = (kr - k_h // 2, kc - k_w // 2) lands
+    inside the image: sign 1 walks a pre's fanout, sign -1 a post's fanin.
     """
     kh2, kw2 = g.k_h // 2, g.k_w // 2
-    return [(dr, dc)
-            for dr in range(-kh2, kh2 + 1) if 0 <= r + sign * dr < g.in_h
-            for dc in range(-kw2, kw2 + 1) if 0 <= c + sign * dc < g.in_w]
+    rows = np.add.outer(r, sign * np.arange(-kh2, kh2 + 1))
+    cols = np.add.outer(c, sign * np.arange(-kw2, kw2 + 1))
+    return (((0 <= rows) & (rows < g.in_h))[..., :, None]
+            & ((0 <= cols) & (cols < g.in_w))[..., None, :])
 
 
 def _tap_pairs(g, r, c, sign, channels):
     """(pairs, logic count) of the lookup from (r, c) over `channels`.
 
     Pairs are ((row, col, channel), kernel_index) per in-image tap and
-    channel. Every candidate, in the image or not, costs one logic evaluation.
+    channel, in row-major kernel order. Every candidate, in the image or
+    not, costs one logic evaluation.
     """
     kh2, kw2 = g.k_h // 2, g.k_w // 2
-    pairs = [((r + sign * dr, c + sign * dc, ch), (dr + kh2) * g.k_w + dc + kw2)
-             for dr, dc in _taps(g, r, c, sign) for ch in range(channels)]
+    taps = [(r + sign * (k // g.k_w - kh2), c + sign * (k % g.k_w - kw2), k)
+            for k in np.flatnonzero(_taps(g, r, c, sign)).tolist()]
+    pairs = [((rr, cc, ch), k) for rr, cc, k in taps for ch in range(channels)]
     return pairs, g.k_h * g.k_w * channels
 
 
@@ -188,11 +192,8 @@ class FunctionalStore:
         t = AccessTrace()
         t.logic(logic)
         t.read(self.weight_bank, len(pairs))
-        out = []
-        for (rr, cc, oc), kidx in pairs:
-            kr, kc = divmod(kidx, g.k_w)
-            out.append((g.post_index(rr, cc, oc), float(self.kernel[ic, oc, kr, kc])))
-        return out, t
+        weights = self.kernel[ic].reshape(g.c_out, -1)      # [oc, kernel index]
+        return [(g.post_index(*q), float(weights[q[2], k])) for q, k in pairs], t
 
     def reverse_lookup(self, post_id):
         g = self.geometry
@@ -203,11 +204,8 @@ class FunctionalStore:
         t = AccessTrace()
         t.logic(logic)
         t.read(self.weight_bank, len(pairs))
-        out = []
-        for (rr, cc, ic), kidx in pairs:
-            kr, kc = divmod(kidx, g.k_w)
-            out.append((g.pre_index(rr, cc, ic), float(self.kernel[ic, oc, kr, kc])))
-        return out, t
+        weights = self.kernel[:, oc].reshape(g.c_in, -1)    # [ic, kernel index]
+        return [(g.pre_index(*q), float(weights[q[2], k])) for q, k in pairs], t
 
     def write_weight(self, pre_id, post_id, value, batched=False):
         g = self.geometry
@@ -261,37 +259,25 @@ def materialize(store):
 
 
 def csr_from_conv(g, kernel, b_w):
-    """CsrStore of the materialized convolution, built without the dense matrix."""
-    kernel = quantize_for_store(np.asarray(kernel, dtype=np.float64), b_w)
-    kh2, kw2 = g.k_h // 2, g.k_w // 2
-    counts = np.zeros(g.n_pre, dtype=np.int64)
-    col_chunks = []
-    w_chunks = []
-    for r in range(g.in_h):
-        for c in range(g.in_w):
-            offs = _taps(g, r, c, 1)
-            # posts sorted by (row', col', oc) == ascending flat post id
-            posts = np.array(
-                [g.post_index(r + dr, c + dc, oc)
-                 for dr, dc in offs for oc in range(g.c_out)], dtype=np.int64)
-            kidx = np.array([(dr + kh2, dc + kw2) for dr, dc in offs], dtype=np.int64)
-            for ic in range(g.c_in):
-                pre = g.pre_index(r, c, ic)
-                counts[pre] = len(posts)
-                col_chunks.append((pre, posts))
-                w_oc_off = kernel[ic][:, kidx[:, 0], kidx[:, 1]]   # (c_out, n_offs)
-                w_chunks.append((pre, w_oc_off.T.reshape(-1)))     # offset-major
+    """CsrStore of the materialized convolution, built without the dense matrix.
 
-    row_ptr = np.zeros(g.n_pre + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    nnz = int(row_ptr[-1])
-    col_idx = np.empty(nnz, dtype=np.int64)
-    weights = np.empty(nnz)
-    for pre, posts in col_chunks:
-        col_idx[row_ptr[pre]:row_ptr[pre + 1]] = posts
-    for pre, w in w_chunks:
-        weights[row_ptr[pre]:row_ptr[pre + 1]] = w
-    return CsrStore(row_ptr, col_idx, weights, g.n_post, b_w)
+    One broadcast over (row, col, in channel, kernel row, kernel col, out
+    channel): its in-image entries in C order are the CSR entries, by pre id
+    and then by ascending post id.
+    """
+    kernel = quantize_for_store(np.asarray(kernel, dtype=np.float64), b_w)
+    shape = (g.in_h, g.in_w, g.c_in, g.k_h, g.k_w, g.c_out)
+    taps = _taps(g, np.arange(g.in_h)[:, None], np.arange(g.in_w), 1)
+    keep = np.broadcast_to(taps[:, :, None, :, :, None], shape)
+    # post id of a tap: (pre position + dr * in_w + dc) * c_out + out channel
+    kr, kc = np.indices((g.k_h, g.k_w))
+    step = (kr - g.k_h // 2) * g.in_w + kc - g.k_w // 2
+    pos = np.arange(g.in_h * g.in_w).reshape(g.in_h, g.in_w, 1, 1, 1, 1)
+    posts = (pos + step[:, :, None]) * g.c_out + np.arange(g.c_out)
+    col_idx = np.broadcast_to(posts, shape)[keep]
+    weights = np.broadcast_to(kernel.transpose(0, 2, 3, 1), shape)[keep]
+    counts = np.repeat(taps.sum(axis=(2, 3)).reshape(-1) * g.c_out, g.c_in)
+    return CsrStore(row_starts(counts), col_idx, weights, g.n_post, b_w)
 
 
 def functional_banks(g, b_w):

@@ -43,7 +43,8 @@ import numpy as np
 
 from .conv import ConvGeometry, FunctionalStore, functional_banks
 from .quant import sigma
-from .stores import BitmapStore, CrossbarStore, CsrStore, fc_banks
+from .stores import (BitmapStore, CrossbarStore, CsrStore, bitmap_words, fc_banks,
+                     row_starts)
 
 MAGIC = b"SYNM"
 VERSION = 1
@@ -219,7 +220,7 @@ def _check_csr(r, row_ptr, col_idx, n_post, nnz):
 
 
 def _check_bitmap(r, row_ptr, bitmap, n_post, w_word, nnz, nnz_at):
-    n_pre, words_per_row = bitmap.shape
+    words_per_row = bitmap.shape[1]
     used = n_post - (words_per_row - 1) * w_word    # bits of a row's last word
     if words_per_row and used < w_word:
         stray = np.zeros(bitmap.shape, dtype=bool)
@@ -229,9 +230,7 @@ def _check_bitmap(r, row_ptr, bitmap, n_post, w_word, nnz, nnz_at):
     if counts.sum() != nnz:
         raise ContainerError(f"bitmap holds {counts.sum()} set bits, the header's "
                              f"nnz is {nnz}", nnz_at)
-    want = np.zeros(n_pre, dtype=np.int64)
-    np.cumsum(counts[:-1], out=want[1:])
-    r.reject("row_ptr", row_ptr != want,
+    r.reject("row_ptr", row_ptr != row_starts(counts)[:-1],
              "row_ptr is not the exclusive sum of the row popcounts")
 
 
@@ -273,7 +272,7 @@ def from_bytes(buf):
         banks = r.banks(fc_banks("PB-BMP", n_pre, n_post, nnz, b_w, w_word))
         r.end()
         row_ptr = banks["row_ptr"].astype(np.int64)
-        bitmap = banks["bitmap"].reshape(n_pre, -(-n_post // w_word))
+        bitmap = banks["bitmap"].reshape(n_pre, bitmap_words(n_post, w_word))
         _check_bitmap(r, row_ptr, bitmap, n_post, w_word, nnz, head + 12)
         return BitmapStore(row_ptr, bitmap, banks["weight"] * sigma(b_w),
                            n_post, b_w, w_word)

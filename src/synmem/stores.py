@@ -23,7 +23,8 @@ PB-CSR and PB-BMP from (n_pre, n_post, nnz, b_w, w_word), and
 those banks. The store classes, the layer sweeps, training's per-epoch
 accounting and the container decoder all read them; the functional
 encoding's counterparts are `functional_banks` and `functional_pass_traces`
-in conv.
+in conv. `row_starts` (row pointers from per-row counts) and `bitmap_words`
+(a PB-BMP row's words) serve the builders, conv and the container decoder.
 
 Thread contract: any number of concurrent readers or one writer; traces
 are returned per call and merged by the caller.
@@ -55,6 +56,20 @@ def quantize_for_store(values, b_w):
     return quantize_weights(values, b_w)
 
 
+def row_starts(counts):
+    """Row pointers from per-row counts: row i's entries are [starts[i], starts[i + 1])."""
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+def bitmap_words(n_post, w_word):
+    """Words of a PB-BMP row's presence bitmap: ceil(n_post / w_word)."""
+    if not 1 <= w_word <= 64:
+        raise ValueError(f"w_word must be in [1, 64], got {w_word}")
+    return -(-n_post // w_word)
+
+
 FC_SCHEMES = ("CB", "PB-CSR", "PB-BMP")      # the encodings fc_banks lays out
 
 
@@ -76,11 +91,9 @@ def fc_banks(scheme, n_pre, n_post, nnz, b_w, w_word=32):
         return (MemBank("row_ptr", "index", n_pre + 1, p),
                 MemBank("col_idx", "index", nnz, ceil_log2(n_post)), weight)
     if scheme == "PB-BMP":
-        if not 1 <= w_word <= 64:
-            raise ValueError(f"w_word must be in [1, 64], got {w_word}")
-        words_per_row = -(-n_post // w_word)
         return (MemBank("row_ptr", "index", n_pre, p),
-                MemBank("bitmap", "index", n_pre * words_per_row, w_word), weight)
+                MemBank("bitmap", "index", n_pre * bitmap_words(n_post, w_word),
+                        w_word), weight)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -210,9 +223,8 @@ class CsrStore(_FcStore):
 
     def to_dense(self):
         dense = np.zeros((self.n_pre, self.n_post))
-        for i in range(self.n_pre):
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            dense[i, self.col_idx[lo:hi]] = self.weights[lo:hi]
+        dense[np.repeat(np.arange(self.n_pre), np.diff(self.row_ptr)),
+              self.col_idx] = self.weights
         return dense
 
     def forward_lookup(self, pre_id):
@@ -295,18 +307,17 @@ class BitmapStore(_FcStore):
     def nnz(self):
         return len(self.weights)
 
-    def _row_cols(self, pre_id):
-        words = self.bitmap[pre_id]
-        bits = (words[:, None] >> np.arange(self.w_word, dtype=np.uint64)) & np.uint64(1)
-        cols = np.nonzero(bits.reshape(-1))[0]
-        return cols[cols < self.n_post]
+    def _row_cols(self, rows):
+        """np.nonzero of bitmap `rows` unpacked to one presence bit per column."""
+        words = self.bitmap[rows]
+        bits = (words[..., None] >> np.arange(self.w_word, dtype=np.uint64)) & np.uint64(1)
+        bits = bits.reshape(words.shape[:-1] + (self.words_per_row * self.w_word,))
+        return np.nonzero(bits[..., :self.n_post])
 
     def to_dense(self):
+        # weights are packed row by row, each row in ascending column order
         dense = np.zeros((self.n_pre, self.n_post))
-        for i in range(self.n_pre):
-            cols = self._row_cols(i)
-            base = int(self.row_ptr[i])
-            dense[i, cols] = self.weights[base:base + len(cols)]
+        dense[self._row_cols(slice(None))] = self.weights
         return dense
 
     def forward_lookup(self, pre_id):
@@ -315,18 +326,17 @@ class BitmapStore(_FcStore):
         t = AccessTrace()
         t.read(self.ptr_bank)
         t.read(self.bitmap_bank, self.words_per_row)
-        cols = self._row_cols(pre_id)
+        (cols,) = self._row_cols(pre_id)
         t.read(self.weight_bank, len(cols))
         base = int(self.row_ptr[pre_id])
         return list(zip(cols.tolist(), self.weights[base:base + len(cols)].tolist())), t
 
-    def _rank(self, pre_id, post_id):
-        """Set bits of row pre_id strictly before column post_id."""
+    def _rank(self, rows, post_id):
+        """Set bits of bitmap `rows` strictly before column post_id."""
         word, bit = divmod(post_id, self.w_word)
-        row = self.bitmap[pre_id]
-        below = int(np.bitwise_count(row[:word]).sum()) if word else 0
-        partial = int(row[word]) & ((1 << bit) - 1)
-        return below + partial.bit_count()
+        below = np.bitwise_count(self.bitmap[rows, :word]).sum(axis=-1, dtype=np.int64)
+        partial = self.bitmap[rows, word] & np.uint64((1 << bit) - 1)
+        return below + np.bitwise_count(partial)
 
     def reverse_lookup(self, post_id):
         if not 0 <= post_id < self.n_post:
@@ -335,13 +345,9 @@ class BitmapStore(_FcStore):
         t = AccessTrace()
         t.read(self.ptr_bank, self.n_pre)
         t.read(self.bitmap_bank, self.n_pre * (word + 1))
-        masked = self.bitmap[:, :word + 1].copy()
-        masked[:, word] &= np.uint64((1 << bit) - 1)
-        ranks = np.bitwise_count(masked).sum(axis=1).astype(np.int64)
-        present = (self.bitmap[:, word] >> np.uint64(bit)) & np.uint64(1)
-        rows = np.nonzero(present)[0]
+        rows = np.nonzero((self.bitmap[:, word] >> np.uint64(bit)) & np.uint64(1))[0]
         t.read(self.weight_bank, len(rows))
-        weights = self.weights[self.row_ptr[rows] + ranks[rows]]
+        weights = self.weights[self.row_ptr[rows] + self._rank(rows, post_id)]
         return list(zip(rows.tolist(), weights.tolist())), t
 
     def write_weight(self, pre_id, post_id, value, batched=False):
@@ -354,7 +360,7 @@ class BitmapStore(_FcStore):
             t.read(self.bitmap_bank, word + 1)
         if not (int(self.bitmap[pre_id, word]) >> bit) & 1:
             raise KeyError(f"synapse ({pre_id}, {post_id}) not present")
-        slot = int(self.row_ptr[pre_id]) + self._rank(pre_id, post_id)
+        slot = int(self.row_ptr[pre_id] + self._rank(pre_id, post_id))
         self.weights[slot] = quantize_for_store(value, self.b_w)
         t.write(self.weight_bank)
         return t
@@ -375,24 +381,17 @@ def build_crossbar(m: SynapseMatrix, b_w):
 
 
 def build_csr(m: SynapseMatrix, b_w):
-    counts = m.mask.sum(axis=1)
-    row_ptr = np.zeros(m.n_pre + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
     rows, cols = np.nonzero(m.mask)      # row-major: cols ascending per row
     weights = quantize_for_store(m.weights[rows, cols], b_w)
-    return CsrStore(row_ptr, cols.astype(np.int64), weights, m.n_post, b_w)
+    return CsrStore(row_starts(m.mask.sum(axis=1)), cols.astype(np.int64), weights,
+                    m.n_post, b_w)
 
 
 def build_bitmap(m: SynapseMatrix, b_w, w_word=32):
-    if not 1 <= w_word <= 64:
-        raise ValueError(f"w_word must be in [1, 64], got {w_word}")
-    words_per_row = -(-m.n_post // w_word)
-    bitmap = np.zeros((m.n_pre, words_per_row), dtype=np.uint64)
+    bitmap = np.zeros((m.n_pre, bitmap_words(m.n_post, w_word)), dtype=np.uint64)
     rows, cols = np.nonzero(m.mask)
     np.bitwise_or.at(bitmap, (rows, cols // w_word),
                      np.uint64(1) << (cols % w_word).astype(np.uint64))
-    counts = m.mask.sum(axis=1)
-    row_ptr = np.zeros(m.n_pre, dtype=np.int64)
-    np.cumsum(counts[:-1], out=row_ptr[1:])
     weights = quantize_for_store(m.weights[rows, cols], b_w)
-    return BitmapStore(row_ptr, bitmap, weights, m.n_post, b_w, w_word)
+    return BitmapStore(row_starts(m.mask.sum(axis=1))[:-1], bitmap, weights, m.n_post,
+                       b_w, w_word)

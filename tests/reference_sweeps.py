@@ -1,15 +1,19 @@
-"""Store-building FC sweeps: the test oracle for the count-based sweeps.
+"""Store-building sweeps: the test oracle for the count-based sweeps.
 
-Every bit width or density draws a seeded random matrix, builds the three
-stores from it and reads their pass traces. This is what `energy.layer_sweep`
-and `energy.sweep_density_leakage` must reproduce, row for row and float for
-float, from the layer's counts alone and for any seed. (The stores' own pass
-traces are checked against their summed per-neuron lookups in test_stores.)
+Every bit width or density of an FC layer draws a seeded random matrix,
+builds the three stores from it and reads their pass traces; a conv layer
+draws a seeded random kernel and builds FUNC, PB-CSR (`csr_from_conv`) and,
+when asked, CB from the materialized convolution. This is what
+`energy.layer_sweep` and `energy.sweep_density_leakage` must reproduce, row
+for row and float for float, from the layer's counts alone and for any
+seed. (The stores' own pass traces are checked against their summed
+per-neuron lookups in test_stores and test_conv.)
 """
 
 import math
 
-from synmem.energy import DEFAULT_MODEL, pass_energy
+from synmem.conv import build_functional, csr_from_conv, materialize
+from synmem.energy import DEFAULT_MODEL, ConvLayer, pass_energy, pass_pair
 from synmem.matrix import random_synapse_matrix
 from synmem.rng import CounterRng
 from synmem.stores import build_bitmap, build_crossbar, build_csr
@@ -24,17 +28,30 @@ def fc_stores(n_pre, n_post, density, b_w, seed, w_word):
     }
 
 
-def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, seed=0, w_word=32):
-    """Forward/backward pass energy per (scheme, b_w) of an FcLayer."""
+def conv_stores(g, b_w, seed, include_crossbar):
+    kernel = CounterRng(seed).uniform_range(-1.0, 1.0, (g.c_in, g.c_out, g.k_h, g.k_w))
+    func = build_functional(g, kernel, b_w)
+    stores = {"FUNC": func, "PB-CSR": csr_from_conv(g, kernel, b_w)}
+    if include_crossbar:
+        stores["CB"] = build_crossbar(materialize(func), b_w)
+    return stores
+
+
+def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, seed=0, w_word=32,
+                include_crossbar=False):
+    """Forward/backward pass energy per (scheme, b_w) of an FcLayer or a ConvLayer."""
     rows = []
     for b_w in bit_widths:
-        stores = fc_stores(layer.n_pre, layer.n_post, layer.density, b_w, seed, w_word)
+        if isinstance(layer, ConvLayer):
+            stores = conv_stores(layer.geometry, b_w, seed, include_crossbar)
+        else:
+            stores = fc_stores(layer.n_pre, layer.n_post, layer.density, b_w, seed,
+                               w_word)
         group = []
         for name in sorted(stores):
             s = stores[name]
-            fwd = pass_energy(s.forward_pass_trace(), model, name)
-            bwd = pass_energy(s.backward_scan_trace() + s.weight_update_trace(),
-                              model, name)
+            fwd, bwd = pass_pair((s.forward_pass_trace(), s.backward_scan_trace(),
+                                  s.weight_update_trace()), model, name)
             group.append({
                 "scheme": name,
                 "b_w": b_w,

@@ -227,6 +227,8 @@ class TestConfigTable:
          "train_frontier: b_w must be in [2, 64]"),
         ("train_frontier", {"b_e": 1100, "b_m": 1100},
          "train_frontier: b_e must be in [2, 64]"),
+        ("fc_sweep", {"bit_widths": [10 ** 330]}, "fc_sweep.bit_widths"),
+        ("fc_sweep", {"n_pre": 10 ** 200, "n_post": 10 ** 200}, "fc_sweep.n_pre"),
     ], ids=["bit-widths-string", "fc-bit-widths-repeated", "conv-bit-widths-repeated",
             "n-pre-fraction", "n-pre-bool", "density-string",
             "include-crossbar-string", "fractional-steps", "axis-string",
@@ -235,7 +237,8 @@ class TestConfigTable:
             "tau-vr-zero", "tau-vr-negative", "lr-anneal-negative",
             "epochs-negative", "layer-sizes-fraction", "schemes-string",
             "schemes-duplicate", "bit-widths-repeated", "lr-nan", "lr-negative",
-            "conv-kernel-even", "bit-width-past-64", "error-and-membrane-past-64"])
+            "conv-kernel-even", "bit-width-past-64", "error-and-membrane-past-64",
+            "sweep-bit-width-huge", "layer-huge"])
     def test_probed_fault_is_a_config_error(self, tmp_path, capsys, section,
                                             override, names):
         base = dict(SMALL_TRAIN["train_frontier"]) if section == "train_frontier" else {}
@@ -256,6 +259,40 @@ class TestConfigTable:
             written[density] = (out / "fc_sweep.csv").read_bytes()
         assert written[1] == written[1.0]
         assert {r["density"] for r in read_rows(tmp_path / "1" / "fc_sweep.csv")} == {"1.0"}
+
+    def test_sweeps_run_at_the_config_maxima(self, tmp_path):
+        # the widest layers and words the table admits price to finite figures
+        sections = {}
+        for section in ("fc_sweep", "conv_sweep", "density_leak_grid"):
+            sections[section] = {
+                name: [key.lo, key.hi] if key.type == "distinct int list" else key.hi
+                for name, key in CONFIG_KEYS[section].items()
+                if key.type in ("int", "distinct int list") and key.hi is not None}
+        sections["conv_sweep"]["include_crossbar"] = True
+        cfg = write_cfg(tmp_path, sections)
+        for section in sections:
+            out = tmp_path / section
+            assert run([section.replace("_", "-"), "--config", cfg, "--out", out]) == 0
+            rows = read_rows(out / f"{section}.csv")
+            assert rows
+            for row in rows:
+                for column in ("forward_pJ", "backward_pJ", "leak_pJ", "total_pJ"):
+                    assert math.isfinite(float(row[column])), (section, row)
+
+    @pytest.mark.parametrize("parts", [(), ("sub",)], ids=["a-file", "under-a-file"])
+    def test_out_that_is_not_a_directory_is_refused_before_the_run(
+            self, tmp_path, capsys, monkeypatch, parts):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr("synmem.cli.layer_sweep", never)
+        cfg = write_cfg(tmp_path, SMALL_FC)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert run(["fc-sweep", "--config", cfg, "--out", afile.joinpath(*parts)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+        assert afile.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
 
     def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

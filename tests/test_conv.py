@@ -1,5 +1,7 @@
 """Functional encoding: address generation, store equivalence, pass traces."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,14 +159,21 @@ class TestFunctionalStore:
         for post_id in range(g.n_post):
             assert sorted(s.reverse_lookup(post_id)[0]) == csr.reverse_lookup(post_id)[0]
 
-    def test_csr_from_conv_equals_csr_of_materialized(self):
-        g = ConvGeometry(6, 5, 3, 3, 2, 2)
+    @pytest.mark.parametrize("b_w", [1, 8])
+    @pytest.mark.parametrize("dims", [
+        (6, 5, 3, 3, 2, 2), (1, 1, 1, 1, 1, 1), (1, 1, 3, 5, 2, 3), (5, 6, 3, 1, 2, 3),
+        (4, 7, 1, 5, 3, 1), (2, 3, 5, 7, 2, 2), (3, 2, 9, 3, 1, 4)],
+        ids=["square", "one-pixel-1x1", "one-pixel-3x5", "kernel-3x1", "kernel-1x5",
+             "kernel-wider-than-image", "kernel-taller-than-image"])
+    def test_csr_from_conv_equals_csr_of_materialized(self, dims, b_w):
+        g = ConvGeometry(*dims)
         kernel = random_kernel(g, 2)
-        direct = csr_from_conv(g, kernel, 8)
-        via_dense = build_csr(materialize(build_functional(g, kernel, 8)), 8)
-        assert np.array_equal(direct.row_ptr, via_dense.row_ptr)
-        assert np.array_equal(direct.col_idx, via_dense.col_idx)
-        assert np.array_equal(direct.weights, via_dense.weights)
+        direct = csr_from_conv(g, kernel, b_w)
+        via_dense = build_csr(materialize(build_functional(g, kernel, b_w)), b_w)
+        for name in ("row_ptr", "col_idx", "weights"):
+            got, want = getattr(direct, name), getattr(via_dense, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_reverse_weight_reads_equal_transpose_count(self):
         g = ConvGeometry(8, 8, 3, 3, 2, 2)
@@ -222,6 +231,23 @@ class TestPassTraces:
         f, b, u = fc_pass_traces("CB", g.n_pre, g.n_post, connection_count(g), 8)
         assert f.weight_reads == g.n_pre * g.n_post
         assert u.weight_writes == connection_count(g)
+
+    @pytest.mark.parametrize("dims,sha256", [
+        ((28, 28, 3, 3, 8, 8),
+         "31335d8c2f9391849d4628b6fcdb6fe1b99eb3a9aed92d0c6841e313fe91a877"),
+        ((28, 28, 3, 3, 32, 32),
+         "a7b862e2d3050e54a0ecdc922c9ea136eccc05ee08d33991ead513de9770f9b8"),
+    ], ids=["store-workload", "reference"])
+    def test_csr_from_conv_bytes_are_fixed(self, dims, sha256):
+        # too large to materialize: the arrays' dtypes, shapes and bytes are
+        # pinned to a recorded digest instead
+        g = ConvGeometry(*dims)
+        kernel = CounterRng(1).uniform_range(-0.9, 0.9, (g.c_in, g.c_out, g.k_h, g.k_w))
+        csr = csr_from_conv(g, kernel, 8)
+        digest = hashlib.sha256()
+        for a in (csr.row_ptr, csr.col_idx, csr.weights):
+            digest.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+        assert digest.hexdigest() == sha256
 
     def test_closed_forms_hold_at_reference_geometry(self):
         # the sweep path never builds the production-size store; prove the

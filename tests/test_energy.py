@@ -221,6 +221,15 @@ class TestCountPath:
             assert layer_sweep(layer, range(1, 9), DEFAULT_MODEL,
                                w_word=w_word) == want, layer
 
+    @pytest.mark.parametrize("include_crossbar", [False, True])
+    def test_conv_sweep_equals_store_building_sweep(self, include_crossbar):
+        for dims in ((4, 5, 3, 3, 2, 3), (1, 2, 3, 5, 1, 2), (6, 3, 1, 3, 3, 1)):
+            layer = ConvLayer(ConvGeometry(*dims))
+            want = reference_sweeps.layer_sweep(layer, range(1, 9), DEFAULT_MODEL,
+                                                include_crossbar=include_crossbar)
+            assert layer_sweep(layer, range(1, 9), DEFAULT_MODEL,
+                               include_crossbar=include_crossbar) == want, dims
+
     @pytest.mark.parametrize("seed", [0, 9])
     @pytest.mark.parametrize("w_word", [32, 7])
     def test_density_grid_equals_store_building_grid(self, seed, w_word):

@@ -73,6 +73,24 @@ class TestOracleEquivalence:
                 s.reverse_lookup(7)
             with pytest.raises(IndexError):
                 s.write_weight(-1, 0, 0.1)
+        g = ConvGeometry(2, 3, 3, 1, 2, 4)
+        s = build_functional(g, np.zeros((2, 4, 3, 1)), 8)
+        with pytest.raises(IndexError):
+            s.forward_lookup(g.n_pre)
+        with pytest.raises(IndexError):
+            s.reverse_lookup(g.n_post)
+        with pytest.raises(IndexError):
+            s.write_weight(-1, 0, 0.1)
+
+    @pytest.mark.parametrize("w_word", [1, 7, 64])
+    @pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
+    def test_to_dense_is_the_quantized_oracle(self, density, w_word):
+        m = random_synapse_matrix(9, 67, density, CounterRng(24))
+        want = quantized_oracle(m, 8).weights
+        for s in (build_csr(m, 8), build_bitmap(m, 8, w_word)):
+            got = s.to_dense()
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), s.scheme
+            assert got.tobytes() == want.tobytes(), s.scheme
 
 
 class TestTraceContracts:

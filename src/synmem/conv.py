@@ -4,10 +4,12 @@ Connectivity is never stored: the fanout of a presynaptic neuron follows
 from adding centered kernel offsets to its coordinates (forward), and the
 fanin of a postsynaptic neuron from subtracting them (reverse), with a
 bounds check rejecting out-of-image candidates so no spurious word is
-fetched. Only the kernel weights occupy memory. That bounds check lives
-once, in `_taps`, an in-image mask over the kernel taps of one position
-or of a whole array of them: the forward and reverse lookups call it per
-neuron, and `csr_from_conv` once for the whole image.
+fetched. Only the kernel weights occupy memory. Each rule lives once:
+`_taps` is the bounds check, an in-image mask over the kernel taps of one
+position or of a whole array of them, and `_steps` turns each tap's offset
+(dr, dc) into a position step dr * in_w + dc. The address generators apply
+both to one neuron id in one array pass, and `csr_from_conv` to the whole
+image at once.
 
 Geometry is stride 1 with zero ("same") padding, so input and output share
 the spatial extent. Neuron ids flatten as (row * in_w + col) * channels +
@@ -76,9 +78,9 @@ class ConvGeometry:
         return r, c, oc
 
 
-def _check_spatial(g, r, c, what):
-    if not (0 <= r < g.in_h and 0 <= c < g.in_w):
-        raise IndexError(f"{what} position ({r}, {c}) outside {g.in_h}x{g.in_w}")
+def _offsets(extent):
+    """Centered kernel offsets along one axis, -(extent // 2) .. extent // 2."""
+    return np.arange(extent) - extent // 2
 
 
 def _taps(g, r, c, sign):
@@ -89,55 +91,52 @@ def _taps(g, r, c, sign):
     c + sign * dc) of offset (dr, dc) = (kr - k_h // 2, kc - k_w // 2) lands
     inside the image: sign 1 walks a pre's fanout, sign -1 a post's fanin.
     """
-    kh2, kw2 = g.k_h // 2, g.k_w // 2
-    rows = np.add.outer(r, sign * np.arange(-kh2, kh2 + 1))
-    cols = np.add.outer(c, sign * np.arange(-kw2, kw2 + 1))
+    rows = np.add.outer(r, sign * _offsets(g.k_h))
+    cols = np.add.outer(c, sign * _offsets(g.k_w))
     return (((0 <= rows) & (rows < g.in_h))[..., :, None]
             & ((0 <= cols) & (cols < g.in_w))[..., None, :])
 
 
-def _tap_pairs(g, r, c, sign, channels):
-    """(pairs, logic count) of the lookup from (r, c) over `channels`.
+def _steps(g):
+    """Position step dr * in_w + dc of each kernel tap, shape (k_h, k_w)."""
+    return np.add.outer(_offsets(g.k_h) * g.in_w, _offsets(g.k_w))
 
-    Pairs are ((row, col, channel), kernel_index) per in-image tap and
-    channel, in row-major kernel order. Every candidate, in the image or
-    not, costs one logic evaluation.
+
+def _addresses(g, pos, sign, channels):
+    """(ids, kernel indexes, logic count) of the taps from `pos` = row * in_w + col.
+
+    One id (pos + sign * step) * channels + channel per in-image tap and
+    channel, in row-major kernel order with the channel innermost. Every
+    candidate, in the image or not, costs one logic evaluation.
     """
-    kh2, kw2 = g.k_h // 2, g.k_w // 2
-    taps = [(r + sign * (k // g.k_w - kh2), c + sign * (k % g.k_w - kw2), k)
-            for k in np.flatnonzero(_taps(g, r, c, sign)).tolist()]
-    pairs = [((rr, cc, ch), k) for rr, cc, k in taps for ch in range(channels)]
-    return pairs, g.k_h * g.k_w * channels
+    ks = np.flatnonzero(_taps(g, *divmod(pos, g.in_w), sign))
+    targets = pos + sign * _steps(g).reshape(-1)[ks]
+    ids = (targets * channels)[:, None] + np.arange(channels)
+    return ids.reshape(-1), np.repeat(ks, channels), g.k_h * g.k_w * channels
 
 
-def conv_forward_addresses(g, pre):
-    """All (post, kernel_index) pairs fed by presynaptic neuron `pre`.
+def conv_forward_addresses(g, pre_id):
+    """(post_ids, kernel_indexes, logic_evals) of the synapses from `pre_id`.
 
-    pre is (row, col, in_channel). Candidates are every output channel and
-    kernel offset; a candidate at row+dr, col+dc is emitted only if it lands
-    inside the image. kernel_index is the row-major spatial position in the
-    k_h x k_w kernel. Returns (pairs, logic_eval_count) where every
-    candidate, valid or not, costs one address-logic evaluation.
+    Candidates are every output channel and kernel offset; the post at
+    row+dr, col+dc is emitted only if it lands inside the image. A kernel
+    index is the row-major spatial position in the k_h x k_w kernel.
     """
-    r, c, ic = pre
-    _check_spatial(g, r, c, "pre")
-    if not 0 <= ic < g.c_in:
-        raise IndexError(f"in channel {ic} outside [0, {g.c_in})")
-    return _tap_pairs(g, r, c, 1, g.c_out)
+    if not 0 <= pre_id < g.n_pre:
+        raise IndexError(f"pre_id {pre_id} out of range [0, {g.n_pre})")
+    return _addresses(g, pre_id // g.c_in, 1, g.c_out)
 
 
-def conv_reverse_addresses(g, post):
-    """All (pre, kernel_index) pairs feeding postsynaptic neuron `post`.
+def conv_reverse_addresses(g, post_id):
+    """(pre_ids, kernel_indexes, logic_evals) of the synapses into `post_id`.
 
     Exact relational transpose of conv_forward_addresses: the pre at
     row-dr, col-dc is emitted for each in channel and kernel offset that
     stays in bounds.
     """
-    r, c, oc = post
-    _check_spatial(g, r, c, "post")
-    if not 0 <= oc < g.c_out:
-        raise IndexError(f"out channel {oc} outside [0, {g.c_out})")
-    return _tap_pairs(g, r, c, -1, g.c_in)
+    if not 0 <= post_id < g.n_post:
+        raise IndexError(f"post_id {post_id} out of range [0, {g.n_post})")
+    return _addresses(g, post_id // g.c_out, -1, g.c_in)
 
 
 def _valid_1d(extent, kernel):
@@ -159,8 +158,10 @@ def connection_count(g):
 class FunctionalStore:
     """Kernel-only weight storage with computed connectivity.
 
-    weight_mem holds c_in * c_out * k_h * k_w words indexed by
-    (ic, oc, kr, kc); every address is produced by the offset logic above.
+    The weight bank holds c_in * c_out * k_h * k_w words indexed by
+    (ic, oc, kr, kc). A lookup takes its neuron ids and kernel indexes from
+    the address generators above and gathers its weights with one index into
+    the kernel; the generators' candidate count is its logic cost.
     """
 
     scheme = "FUNC"
@@ -185,29 +186,23 @@ class FunctionalStore:
 
     def forward_lookup(self, pre_id):
         g = self.geometry
-        if not 0 <= pre_id < self.n_pre:
-            raise IndexError(f"pre_id {pre_id} out of range [0, {self.n_pre})")
-        r, c, ic = g.pre_coords(pre_id)
-        pairs, logic = conv_forward_addresses(g, (r, c, ic))
-        t = AccessTrace()
-        t.logic(logic)
-        t.read(self.weight_bank, len(pairs))
-        weights = self.kernel[ic].reshape(g.c_out, -1)      # [oc, kernel index]
-        return [(g.post_index(*q), float(weights[q[2], k])) for q, k in pairs], t
+        posts, ks, logic = conv_forward_addresses(g, pre_id)
+        weights = self.kernel[pre_id % g.c_in].reshape(g.c_out, -1)   # [oc, k]
+        return self._pairs(posts, weights[posts % g.c_out, ks], logic)
 
     def reverse_lookup(self, post_id):
         g = self.geometry
-        if not 0 <= post_id < self.n_post:
-            raise IndexError(f"post_id {post_id} out of range [0, {self.n_post})")
-        r, c, oc = g.post_coords(post_id)
-        pairs, logic = conv_reverse_addresses(g, (r, c, oc))
+        pres, ks, logic = conv_reverse_addresses(g, post_id)
+        weights = self.kernel[:, post_id % g.c_out].reshape(g.c_in, -1)   # [ic, k]
+        return self._pairs(pres, weights[pres % g.c_in, ks], logic)
+
+    def _pairs(self, ids, weights, logic):
         t = AccessTrace()
         t.logic(logic)
-        t.read(self.weight_bank, len(pairs))
-        weights = self.kernel[:, oc].reshape(g.c_in, -1)    # [ic, kernel index]
-        return [(g.pre_index(*q), float(weights[q[2], k])) for q, k in pairs], t
+        t.read(self.weight_bank, len(ids))
+        return list(zip(ids.tolist(), weights.tolist())), t
 
-    def write_weight(self, pre_id, post_id, value, batched=False):
+    def write_weight(self, pre_id, post_id, value):
         g = self.geometry
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
             raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
@@ -215,8 +210,7 @@ class FunctionalStore:
         qr, qc, oc = g.post_coords(post_id)
         dr, dc = qr - pr, qc - pc
         t = AccessTrace()
-        if not batched:
-            t.logic()
+        t.logic()
         if abs(dr) > g.k_h // 2 or abs(dc) > g.k_w // 2:
             raise KeyError(f"synapse ({pre_id}, {post_id}) not a kernel offset")
         self.kernel[ic, oc, dr + g.k_h // 2, dc + g.k_w // 2] = \
@@ -265,15 +259,13 @@ def csr_from_conv(g, kernel, b_w):
     channel): its in-image entries in C order are the CSR entries, by pre id
     and then by ascending post id.
     """
-    kernel = quantize_for_store(np.asarray(kernel, dtype=np.float64), b_w)
+    kernel = build_functional(g, kernel, b_w).kernel     # shape-checked and rounded
     shape = (g.in_h, g.in_w, g.c_in, g.k_h, g.k_w, g.c_out)
     taps = _taps(g, np.arange(g.in_h)[:, None], np.arange(g.in_w), 1)
     keep = np.broadcast_to(taps[:, :, None, :, :, None], shape)
-    # post id of a tap: (pre position + dr * in_w + dc) * c_out + out channel
-    kr, kc = np.indices((g.k_h, g.k_w))
-    step = (kr - g.k_h // 2) * g.in_w + kc - g.k_w // 2
+    # post id of a tap: (pre position + step) * c_out + out channel
     pos = np.arange(g.in_h * g.in_w).reshape(g.in_h, g.in_w, 1, 1, 1, 1)
-    posts = (pos + step[:, :, None]) * g.c_out + np.arange(g.c_out)
+    posts = (pos + _steps(g)[:, :, None]) * g.c_out + np.arange(g.c_out)
     col_idx = np.broadcast_to(posts, shape)[keep]
     weights = np.broadcast_to(kernel.transpose(0, 2, 3, 1), shape)[keep]
     counts = np.repeat(taps.sum(axis=(2, 3)).reshape(-1) * g.c_out, g.c_in)

@@ -180,7 +180,7 @@ class CrossbarStore(_FcStore):
         rows = np.nonzero(self.mask[:, post_id])[0]
         return list(zip(rows.tolist(), self.weights[rows, post_id].tolist())), t
 
-    def write_weight(self, pre_id, post_id, value, batched=False):
+    def write_weight(self, pre_id, post_id, value):
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
             raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
         self.weights[pre_id, post_id] = quantize_for_store(value, self.b_w)
@@ -261,12 +261,11 @@ class CsrStore(_FcStore):
         t.read(self.idx_bank, pos + 1)
         return lo + pos
 
-    def write_weight(self, pre_id, post_id, value, batched=False):
+    def write_weight(self, pre_id, post_id, value):
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
             raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
         t = AccessTrace()
-        # a batched update knows its slots: the search's reads go uncharged
-        slot = self._locate(pre_id, post_id, AccessTrace() if batched else t)
+        slot = self._locate(pre_id, post_id, t)
         self.weights[slot] = quantize_for_store(value, self.b_w)
         t.write(self.weight_bank)
         return t
@@ -350,14 +349,13 @@ class BitmapStore(_FcStore):
         weights = self.weights[self.row_ptr[rows] + self._rank(rows, post_id)]
         return list(zip(rows.tolist(), weights.tolist())), t
 
-    def write_weight(self, pre_id, post_id, value, batched=False):
+    def write_weight(self, pre_id, post_id, value):
         if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
             raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
         word, bit = divmod(post_id, self.w_word)
         t = AccessTrace()
-        if not batched:
-            t.read(self.ptr_bank)
-            t.read(self.bitmap_bank, word + 1)
+        t.read(self.ptr_bank)
+        t.read(self.bitmap_bank, word + 1)
         if not (int(self.bitmap[pre_id, word]) >> bit) & 1:
             raise KeyError(f"synapse ({pre_id}, {post_id}) not present")
         slot = int(self.row_ptr[pre_id] + self._rank(pre_id, post_id))

@@ -79,17 +79,13 @@ def test_c02_functional_correctness():
             if sorted(s.reverse_lookup(post_id)[0]) != csr.reverse_lookup(post_id)[0]:
                 mismatches += 1
         fwd = set()
-        for r in range(g.in_h):
-            for c in range(g.in_w):
-                for ic in range(g.c_in):
-                    for post, kidx in conv_forward_addresses(g, (r, c, ic))[0]:
-                        fwd.add(((r, c, ic), post, kidx))
+        for pre in range(g.n_pre):
+            posts, kidx, _ = conv_forward_addresses(g, pre)
+            fwd.update((pre, post, k) for post, k in zip(posts.tolist(), kidx.tolist()))
         rev = set()
-        for r in range(g.in_h):
-            for c in range(g.in_w):
-                for oc in range(g.c_out):
-                    for pre, kidx in conv_reverse_addresses(g, (r, c, oc))[0]:
-                        rev.add((pre, (r, c, oc), kidx))
+        for post in range(g.n_post):
+            pres, kidx, _ = conv_reverse_addresses(g, post)
+            rev.update((pre, post, k) for pre, k in zip(pres.tolist(), kidx.tolist()))
         if fwd != rev:
             mismatches += 1
     assert mismatches == 0

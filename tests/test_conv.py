@@ -18,6 +18,22 @@ def random_kernel(g, seed):
     return rng.uniform_range(-0.9, 0.9, (g.c_in, g.c_out, g.k_h, g.k_w))
 
 
+LOOKUP_GEOMETRIES = [
+    (6, 5, 3, 3, 2, 2), (1, 1, 1, 1, 1, 1), (1, 1, 3, 5, 2, 3), (5, 6, 3, 1, 2, 3),
+    (4, 7, 1, 5, 3, 1), (2, 3, 5, 7, 2, 2), (3, 2, 9, 3, 1, 4)]
+LOOKUP_IDS = ["square", "one-pixel-1x1", "one-pixel-3x5", "kernel-3x1", "kernel-1x5",
+              "kernel-wider-than-image", "kernel-taller-than-image"]
+LOOKUP_DIGESTS = {
+    (6, 5, 3, 3, 2, 2): "1918aa412f614d7f4eb6dafaa1bee7822c2578710b416765c60c7cf75c872a49",
+    (1, 1, 1, 1, 1, 1): "bea53c9c165ab479b2e54a6bb692f1aac9a58e47daf199e561313198cd0d60db",
+    (1, 1, 3, 5, 2, 3): "01dc56f61a797f9d4566d430270c3539077b77d311eea459da9e7fc97c63cded",
+    (5, 6, 3, 1, 2, 3): "e6db33434621da38a9ec07fe8939946ed9f23a25ae8d045cd6939ea826f2b036",
+    (4, 7, 1, 5, 3, 1): "15ab69ae13472b8f4859b5f4c360a66d0a6efafc8da95df8c61bb1963539f901",
+    (2, 3, 5, 7, 2, 2): "34ce013af1b3cc69894f96be1ca22bb89c40bb6dfa6dce622323dd686dc0a9a7",
+    (3, 2, 9, 3, 1, 4): "8cb127e12752ca52e189acb3add807efb4e55db87595998c8982c593438d1295",
+}
+
+
 class TestGeometry:
     def test_rejects_even_kernels(self):
         with pytest.raises(ValueError):
@@ -36,67 +52,66 @@ class TestGeometry:
 class TestAddresses:
     def test_corner_clipping(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
-        pairs, logic = conv_forward_addresses(g, (0, 0, 0))
+        posts, ks, logic = conv_forward_addresses(g, g.pre_index(0, 0, 0))
         assert logic == 9
-        assert {p[0][:2] for p in pairs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert posts.dtype == ks.dtype == np.int64
+        assert {g.post_coords(p)[:2] for p in posts.tolist()} == \
+            {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert ks.tolist() == [4, 5, 7, 8]
 
     def test_interior_full_fanout(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
-        pairs, logic = conv_forward_addresses(g, (2, 2, 0))
-        assert len(pairs) == 9 and logic == 9
+        posts, ks, logic = conv_forward_addresses(g, g.pre_index(2, 2, 0))
+        assert len(posts) == len(ks) == 9 and logic == 9
 
     def test_interior_fanout_with_channels(self):
         g = ConvGeometry(28, 28, 3, 3, 32, 32)
-        pairs, logic = conv_forward_addresses(g, (14, 14, 7))
-        assert len(pairs) == 9 * 32
+        posts, ks, logic = conv_forward_addresses(g, g.pre_index(14, 14, 7))
+        assert len(posts) == 9 * 32
         assert logic == 9 * 32
+        # row-major kernel order, out channel innermost
+        assert ks.tolist() == np.repeat(np.arange(9), 32).tolist()
+        assert posts[:32].tolist() == [g.post_index(13, 13, oc) for oc in range(32)]
 
     def test_reverse_corner(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
-        pairs, _ = conv_reverse_addresses(g, (0, 0, 0))
-        assert len(pairs) == 4
+        pres, ks, _ = conv_reverse_addresses(g, g.post_index(0, 0, 0))
+        assert len(pres) == 4
+        assert pres.dtype == ks.dtype == np.int64
+        # the pre at (1, 1) feeds (0, 0) through offset (-1, -1), kernel index 0
+        assert (g.pre_index(1, 1, 0), 0) in zip(pres.tolist(), ks.tolist())
 
     def test_reverse_interior_full_fanin(self):
         g = ConvGeometry(9, 9, 3, 5, 4, 2)
-        pairs, logic = conv_reverse_addresses(g, (4, 4, 1))
-        assert len(pairs) == 3 * 5 * 4
+        pres, _, logic = conv_reverse_addresses(g, g.post_index(4, 4, 1))
+        assert len(pres) == 3 * 5 * 4
         assert logic == 3 * 5 * 4
 
     def test_out_of_range_rejected(self):
-        g = ConvGeometry(4, 4, 3, 3, 2, 2)
-        with pytest.raises(IndexError):
-            conv_forward_addresses(g, (4, 0, 0))
-        with pytest.raises(IndexError):
-            conv_forward_addresses(g, (0, 0, 2))
-        with pytest.raises(IndexError):
-            conv_reverse_addresses(g, (0, -1, 0))
+        g = ConvGeometry(4, 4, 3, 3, 2, 3)
+        for bad in (-1, g.n_pre):
+            with pytest.raises(IndexError, match=rf"pre_id {bad} out of range \[0, 32\)"):
+                conv_forward_addresses(g, bad)
+        for bad in (-1, g.n_post):
+            with pytest.raises(IndexError, match=rf"post_id {bad} out of range \[0, 48\)"):
+                conv_reverse_addresses(g, bad)
 
     @pytest.mark.parametrize("dims", [(8, 8, 3, 3, 2, 2), (5, 6, 3, 1, 2, 3)])
     def test_reverse_is_transpose_of_forward(self, dims):
         g = ConvGeometry(*dims)
         fwd = set()
-        for r in range(g.in_h):
-            for c in range(g.in_w):
-                for ic in range(g.c_in):
-                    pairs, _ = conv_forward_addresses(g, (r, c, ic))
-                    for post, kidx in pairs:
-                        fwd.add(((r, c, ic), post, kidx))
+        for pre in range(g.n_pre):
+            posts, ks, _ = conv_forward_addresses(g, pre)
+            fwd.update((pre, post, k) for post, k in zip(posts.tolist(), ks.tolist()))
         rev = set()
-        for r in range(g.in_h):
-            for c in range(g.in_w):
-                for oc in range(g.c_out):
-                    pairs, _ = conv_reverse_addresses(g, (r, c, oc))
-                    for pre, kidx in pairs:
-                        rev.add((pre, (r, c, oc), kidx))
+        for post in range(g.n_post):
+            pres, ks, _ = conv_reverse_addresses(g, post)
+            rev.update((pre, post, k) for pre, k in zip(pres.tolist(), ks.tolist()))
         assert fwd == rev
 
     def test_connection_count_matches_enumeration(self):
         g = ConvGeometry(6, 5, 3, 3, 2, 4)
-        total = 0
-        for r in range(g.in_h):
-            for c in range(g.in_w):
-                for ic in range(g.c_in):
-                    total += len(conv_forward_addresses(g, (r, c, ic))[0])
+        total = sum(len(conv_forward_addresses(g, pre)[0]) for pre in range(g.n_pre))
         assert total == connection_count(g)
 
     def test_valid_taps_closed_form_matches_per_position_sum(self):
@@ -160,11 +175,7 @@ class TestFunctionalStore:
             assert sorted(s.reverse_lookup(post_id)[0]) == csr.reverse_lookup(post_id)[0]
 
     @pytest.mark.parametrize("b_w", [1, 8])
-    @pytest.mark.parametrize("dims", [
-        (6, 5, 3, 3, 2, 2), (1, 1, 1, 1, 1, 1), (1, 1, 3, 5, 2, 3), (5, 6, 3, 1, 2, 3),
-        (4, 7, 1, 5, 3, 1), (2, 3, 5, 7, 2, 2), (3, 2, 9, 3, 1, 4)],
-        ids=["square", "one-pixel-1x1", "one-pixel-3x5", "kernel-3x1", "kernel-1x5",
-             "kernel-wider-than-image", "kernel-taller-than-image"])
+    @pytest.mark.parametrize("dims", LOOKUP_GEOMETRIES, ids=LOOKUP_IDS)
     def test_csr_from_conv_equals_csr_of_materialized(self, dims, b_w):
         g = ConvGeometry(*dims)
         kernel = random_kernel(g, 2)
@@ -174,6 +185,29 @@ class TestFunctionalStore:
             got, want = getattr(direct, name), getattr(via_dense, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("dims", LOOKUP_GEOMETRIES, ids=LOOKUP_IDS)
+    def test_lookups_are_fixed(self, dims):
+        # every forward and reverse lookup at b_w 1 and 8, pinned to a
+        # recorded digest of its ids, weights, their Python types and its trace
+        g = ConvGeometry(*dims)
+        digest = hashlib.sha256()
+        for b_w in (1, 8):
+            s = build_functional(g, random_kernel(g, 8), b_w)
+            for lookup, n in ((s.forward_lookup, g.n_pre), (s.reverse_lookup, g.n_post)):
+                for i in range(n):
+                    pairs, t = lookup(i)
+                    digest.update(repr(([(type(j).__name__, j, type(w).__name__, w.hex())
+                                         for j, w in pairs],
+                                        list(t.banks()), t.logic_evals)).encode())
+        assert digest.hexdigest() == LOOKUP_DIGESTS[dims]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 1, 3, 3)])
+    def test_builders_reject_a_mis_shaped_kernel(self, shape):
+        g = ConvGeometry(4, 4, 3, 3, 2, 2)
+        for build in (build_functional, csr_from_conv):
+            with pytest.raises(ValueError, match=r"!= \(2, 2, 3, 3\)"):
+                build(g, np.full(shape, 0.5), 8)
 
     def test_reverse_weight_reads_equal_transpose_count(self):
         g = ConvGeometry(8, 8, 3, 3, 2, 2)

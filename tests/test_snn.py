@@ -497,7 +497,7 @@ class TestTrain:
 
     def test_epoch_traces_compose_from_store_passes(self):
         # an epoch's energy must equal steps x (sum of per-pre lookups)
-        # forward, and steps x (amortized scan) + the batched write pass
+        # forward, and steps x (amortized scan) + one write per stored weight
         # backward, priced from the final weights' store
         cfg = NetworkConfig(layer_sizes=(10, 6, 4), steps=7, lr_anneal=0, lr=0.0)
         res = train(cfg, "PB-CSR", None, 2, seed=4)

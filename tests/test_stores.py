@@ -168,7 +168,7 @@ class TestTraceContracts:
         got, _ = bmp.forward_lookup(i)
         assert (j, 0.25) in got
 
-    def test_csr_write_scan_cost_and_batched_mode(self):
+    def test_csr_write_scan_cost(self):
         mask = np.zeros((2, 16), dtype=bool)
         mask[0, [2, 5, 9, 14]] = True
         m = SynapseMatrix(np.where(mask, 0.5, 0.0), mask)
@@ -177,27 +177,18 @@ class TestTraceContracts:
         reads = {b.name: r for b, r, _ in t.banks() if r}
         assert reads == {"row_ptr": 2, "col_idx": 3}   # scan stops at the hit
         assert t.weight_writes == 1
-        t2 = s.write_weight(0, 9, 0.25, batched=True)
-        assert t2.weight_writes == 1 and t2.total_accesses == 1
-        assert s.forward_lookup(0)[0][2] == (9, 0.25)
+        assert s.forward_lookup(0)[0][2] == (9, -0.5)
 
-    def test_batched_writes_amortize_the_scan(self):
-        # batched update of a whole column: locate once via reverse_lookup,
-        # then one write per matched synapse
+    def test_column_writes_each_search_less_than_a_scan(self):
+        # writing a whole column: each write searches only its own row
         m = random_synapse_matrix(12, 12, 0.6, CounterRng(5))
         s = build_csr(m, 8)
         matches, scan = s.reverse_lookup(4)
-        batched = AccessTrace()
+        writes = AccessTrace()
         for i, _ in matches:
-            batched += s.write_weight(i, 4, 0.125, batched=True)
-        total = scan + batched
-        unbatched = AccessTrace()
-        for i, _ in matches:
-            unbatched += s.write_weight(i, 4, 0.125)
-        assert batched.weight_writes == len(matches)
-        assert unbatched.weight_writes == len(matches)
-        assert total.indirection_reads == scan.indirection_reads
-        assert unbatched.indirection_reads < scan.indirection_reads * len(matches)
+            writes += s.write_weight(i, 4, 0.125)
+        assert writes.weight_writes == len(matches)
+        assert writes.indirection_reads < scan.indirection_reads * len(matches)
 
     def test_writes_to_absent_synapses(self):
         m = random_synapse_matrix(6, 6, 0.3, CounterRng(6))

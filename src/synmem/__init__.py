@@ -10,7 +10,7 @@ from .stores import (BitmapStore, CrossbarStore, CsrStore, build_bitmap,
 from .conv import (ConvGeometry, FunctionalStore, build_functional,
                    connection_count, conv_forward_addresses,
                    conv_reverse_addresses, csr_from_conv,
-                   functional_pass_traces, materialize)
+                   functional_pass_traces)
 from .trace import AccessTrace, MemBank
 from .energy import (CostModel, DEFAULT_MODEL, CalibrationError,
                      EnergyOverflowError, FcLayer, ConvLayer, calibrate_defaults,
@@ -23,4 +23,4 @@ from .snn import (LayerHistory, LifParams, NetworkConfig, bptt_gradients,
                   clean_pattern, generate_poisson_input, generate_target,
                   lif_step, run_episode, surrogate_derivative, train,
                   train_cells, van_rossum, vr_filter)
-from .serialize import ContainerError, from_bytes, summary, to_bytes
+from .serialize import ContainerError, from_bytes, to_bytes

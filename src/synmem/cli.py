@@ -159,19 +159,6 @@ def write_csv(path, schema, rows):
             w.writerow([_fmt(row.get(c, "")) for c in columns])
 
 
-def validate_csv(path, schema):
-    """Reject files whose header does not match the declared schema."""
-    columns = _SCHEMAS.get(schema)
-    if columns is None:
-        raise ConfigError(f"unknown schema {schema!r}")
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header != columns:
-        raise ConfigError(
-            f"{path}: header {header} does not match schema {schema} {columns}")
-    return True
-
-
 def load_config(path):
     try:
         with open(path) as fh:

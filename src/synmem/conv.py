@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import SynapseMatrix
-from .stores import CsrStore, quantize_for_store, row_starts
+from .stores import CsrStore, check_id, quantize_for_store, row_starts
 from .trace import AccessTrace, MemBank
 
 
@@ -61,16 +60,10 @@ class ConvGeometry:
     def kernel_words(self):
         return self.c_in * self.c_out * self.k_h * self.k_w
 
-    def pre_index(self, r, c, ic):
-        return (r * self.in_w + c) * self.c_in + ic
-
     def pre_coords(self, pre_id):
         rc, ic = divmod(pre_id, self.c_in)
         r, c = divmod(rc, self.in_w)
         return r, c, ic
-
-    def post_index(self, r, c, oc):
-        return (r * self.in_w + c) * self.c_out + oc
 
     def post_coords(self, post_id):
         rc, oc = divmod(post_id, self.c_out)
@@ -122,8 +115,7 @@ def conv_forward_addresses(g, pre_id):
     row+dr, col+dc is emitted only if it lands inside the image. A kernel
     index is the row-major spatial position in the k_h x k_w kernel.
     """
-    if not 0 <= pre_id < g.n_pre:
-        raise IndexError(f"pre_id {pre_id} out of range [0, {g.n_pre})")
+    check_id("pre_id", pre_id, g.n_pre)
     return _addresses(g, pre_id // g.c_in, 1, g.c_out)
 
 
@@ -134,8 +126,7 @@ def conv_reverse_addresses(g, post_id):
     row-dr, col-dc is emitted for each in channel and kernel offset that
     stays in bounds.
     """
-    if not 0 <= post_id < g.n_post:
-        raise IndexError(f"post_id {post_id} out of range [0, {g.n_post})")
+    check_id("post_id", post_id, g.n_post)
     return _addresses(g, post_id // g.c_out, -1, g.c_in)
 
 
@@ -204,8 +195,8 @@ class FunctionalStore:
 
     def write_weight(self, pre_id, post_id, value):
         g = self.geometry
-        if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
-            raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
+        check_id("pre_id", pre_id, self.n_pre)
+        check_id("post_id", post_id, self.n_post)
         pr, pc, ic = g.pre_coords(pre_id)
         qr, qc, oc = g.post_coords(post_id)
         dr, dc = qr - pr, qc - pc
@@ -234,22 +225,6 @@ def build_functional(g, kernel, b_w):
     if kernel.shape != expected:
         raise ValueError(f"kernel shape {kernel.shape} != {expected}")
     return FunctionalStore(g, quantize_for_store(kernel, b_w), b_w)
-
-
-def materialize(store):
-    """Dense SynapseMatrix of the convolution a FunctionalStore encodes.
-
-    Test-scale only: allocates n_pre x n_post.
-    """
-    g = store.geometry
-    dense = np.zeros((g.n_pre, g.n_post))
-    mask = np.zeros((g.n_pre, g.n_post), dtype=bool)
-    for pre_id in range(g.n_pre):
-        pairs, _ = store.forward_lookup(pre_id)
-        for post_id, w in pairs:
-            dense[pre_id, post_id] = w
-            mask[pre_id, post_id] = True
-    return SynapseMatrix(dense, mask)
 
 
 def csr_from_conv(g, kernel, b_w):

@@ -27,24 +27,6 @@ class SynapseMatrix:
     def nnz(self):
         return int(self.mask.sum())
 
-    @property
-    def density(self):
-        return self.nnz / (self.n_pre * self.n_post)
-
-    def forward_row(self, pre_id):
-        """Masked entries of row pre_id as (post_id, weight) pairs."""
-        if not 0 <= pre_id < self.n_pre:
-            raise IndexError(f"pre_id {pre_id} out of range [0, {self.n_pre})")
-        cols = np.nonzero(self.mask[pre_id])[0]
-        return [(int(j), float(self.weights[pre_id, j])) for j in cols]
-
-    def reverse_col(self, post_id):
-        """Masked entries of column post_id as (pre_id, weight) pairs."""
-        if not 0 <= post_id < self.n_post:
-            raise IndexError(f"post_id {post_id} out of range [0, {self.n_post})")
-        rows = np.nonzero(self.mask[:, post_id])[0]
-        return [(int(i), float(self.weights[i, post_id])) for i in rows]
-
 
 def nnz_at_density(n_pre, n_post, density):
     """Synapse count of an n_pre x n_post layer at `density`, checked to lie in [0, 1]."""

@@ -59,15 +59,13 @@ class CounterRng:
     def uniform_range(self, lo, hi, size=None):
         return lo + (hi - lo) * self.uniform(size)
 
-    def bernoulli(self, p, size=None):
+    def bernoulli(self, p, size):
         """Bernoulli draws; `p` may be scalar or an array broadcast to size."""
-        u = self.uniform(size if size is not None else np.shape(p))
-        return (u < p).astype(np.uint8)
+        return (self.uniform(size) < p).astype(np.uint8)
 
-    def randint(self, n, size=None):
-        """Integers in [0, n) via floor(u * n); deterministic, n < 2**31."""
-        u = self.uniform(size)
-        return (np.asarray(u) * n).astype(np.int64) if size is not None else int(u * n)
+    def randint(self, n):
+        """An integer in [0, n) via floor(u * n); deterministic, n < 2**31."""
+        return int(self.uniform() * n)
 
     def choice_without_replacement(self, n, k):
         """k distinct indices from range(n): the k smallest of n random keys."""

@@ -1,4 +1,4 @@
-"""Binary container and summary records for encoded stores.
+"""Binary container for encoded stores.
 
 Container layout (all little-endian):
 
@@ -289,20 +289,3 @@ def from_bytes(buf):
         return FunctionalStore(g, kernel, b_w)
     raise ContainerError(f"unknown scheme tag {tag}", 6)
 
-
-def summary(store):
-    """Human-readable record: scheme, dims, density, word width, bank sizes."""
-    rec = {
-        "scheme": store.scheme,
-        "n_pre": store.n_pre,
-        "n_post": store.n_post,
-        "b_w": store.b_w,
-        "density": store.nnz / (store.n_pre * store.n_post),
-        "storage_bits": store.storage_bits(),
-        "total_bits": sum(store.storage_bits().values()),
-    }
-    if isinstance(store, FunctionalStore):
-        g = store.geometry
-        rec["geometry"] = {"in_h": g.in_h, "in_w": g.in_w, "k_h": g.k_h,
-                           "k_w": g.k_w, "c_in": g.c_in, "c_out": g.c_out}
-    return rec

@@ -122,6 +122,11 @@ def soft_spike(u, params):
     return x / (1.0 + params.beta_s * np.abs(x)) + 0.5
 
 
+def _spike(u, params, soft):
+    """Spikes of membrane u: soft_spike in soft mode, else the step u >= theta."""
+    return soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
+
+
 def lif_step(p, q, r, in_spikes, w, params, layer_eta=1.0, soft=False):
     """One time step of one layer: (u, s, p, q, r) after the step.
 
@@ -135,7 +140,7 @@ def lif_step(p, q, r, in_spikes, w, params, layer_eta=1.0, soft=False):
     if in_spikes.shape != (len(p),):
         raise ValueError(f"input shape {in_spikes.shape} != ({len(p)},)")
     u = (p @ w) / layer_eta - params.delta * r
-    s = soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
+    s = _spike(u, params, soft)
     # P[n+1] uses the pre-update Q
     return (u, s, params.beta * p + q, params.alpha * q + in_spikes,
             params.gamma * r + s)
@@ -237,7 +242,7 @@ def _fire(drive, params, soft):
     r = np.zeros(drive.shape[1:])
     for n in range(len(drive)):
         u = drive[n] - params.delta * r
-        s = soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
+        s = _spike(u, params, soft)
         u_hist[n] = u
         s_hist[n] = s
         r = params.gamma * r + s
@@ -276,6 +281,13 @@ def _episode(p_first, weights, etas, b_ms, params, soft=False):
     return histories
 
 
+def _one_cell(weights, etas):
+    """Per-layer weights and scale factors (1.0 when etas is None) as a
+    batch of one cell: (1, n_pre, n_post) stacks and (1,) scale arrays."""
+    etas = etas or [1.0] * len(weights)
+    return [w[None] for w in weights], [np.array([e], dtype=np.float64) for e in etas]
+
+
 def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
     """Forward simulation over a full episode, one layer at a time.
 
@@ -294,11 +306,9 @@ def run_episode(weights, in_raster, params, etas=None, b_m=None, soft=False):
         if weights[li].shape[0] != weights[li - 1].shape[1]:
             raise ValueError(f"layer {li} weights {weights[li].shape} do not "
                              f"follow layer {li - 1} weights {weights[li - 1].shape}")
-    etas = etas or [1.0] * len(weights)
     spikes = np.ascontiguousarray(in_raster.T, dtype=np.float64)[:, None]
-    histories = _episode(_input_traces(spikes, params), [w[None] for w in weights],
-                         [np.array([e], dtype=np.float64) for e in etas], [b_m],
-                         params, soft)
+    histories = _episode(_input_traces(spikes, params), *_one_cell(weights, etas),
+                         [b_m], params, soft)
     histories = [LayerHistory(h.p_history[:, 0], h.u_history[:, 0], h.s_history[:, 0])
                  for h in histories]
     return histories[-1].s_history.T.copy(), histories
@@ -361,13 +371,11 @@ def bptt_gradients(histories, weights, out_raster, target, params, tau_vr,
         if np.shape(raster) != want:
             raise ValueError(f"{name} shape {np.shape(raster)} != {want} "
                              f"of the recorded history")
-    etas = etas or [1.0] * len(weights)
     _, g_out = _loss(np.asarray(out_raster).T[:, None], vr_filter(target, tau_vr),
                      tau_vr)
     grads = _gradients([LayerHistory(h.p_history[:, None], h.u_history[:, None],
                                      h.s_history[:, None]) for h in histories],
-                       [w[None] for w in weights],
-                       [np.array([e], dtype=np.float64) for e in etas], g_out, params)
+                       *_one_cell(weights, etas), g_out, params)
     return [g[0] for g in grads]
 
 

@@ -25,6 +25,8 @@ accounting and the container decoder all read them; the functional
 encoding's counterparts are `functional_banks` and `functional_pass_traces`
 in conv. `row_starts` (row pointers from per-row counts) and `bitmap_words`
 (a PB-BMP row's words) serve the builders, conv and the container decoder.
+`check_id` is the one range check of a neuron id, made by every lookup and
+write of the four stores and by conv's address generators.
 
 Thread contract: any number of concurrent readers or one writer; traces
 are returned per call and merged by the caller.
@@ -35,6 +37,12 @@ import numpy as np
 from .matrix import SynapseMatrix
 from .quant import quantize_weights
 from .trace import AccessTrace, MemBank
+
+
+def check_id(kind, i, n):
+    """Reject neuron id i of `kind` ("pre_id" or "post_id") outside [0, n)."""
+    if not 0 <= i < n:
+        raise IndexError(f"{kind} {i} out of range [0, {n})")
 
 
 def ceil_log2(n):
@@ -165,24 +173,22 @@ class CrossbarStore(_FcStore):
         return self.weights.copy()
 
     def forward_lookup(self, pre_id):
-        if not 0 <= pre_id < self.n_pre:
-            raise IndexError(f"pre_id {pre_id} out of range [0, {self.n_pre})")
+        check_id("pre_id", pre_id, self.n_pre)
         t = AccessTrace()
         t.read(self.weight_bank, self.n_post)
         cols = np.nonzero(self.mask[pre_id])[0]
         return list(zip(cols.tolist(), self.weights[pre_id, cols].tolist())), t
 
     def reverse_lookup(self, post_id):
-        if not 0 <= post_id < self.n_post:
-            raise IndexError(f"post_id {post_id} out of range [0, {self.n_post})")
+        check_id("post_id", post_id, self.n_post)
         t = AccessTrace()
         t.read(self.weight_bank, self.n_pre)
         rows = np.nonzero(self.mask[:, post_id])[0]
         return list(zip(rows.tolist(), self.weights[rows, post_id].tolist())), t
 
     def write_weight(self, pre_id, post_id, value):
-        if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
-            raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
+        check_id("pre_id", pre_id, self.n_pre)
+        check_id("post_id", post_id, self.n_post)
         self.weights[pre_id, post_id] = quantize_for_store(value, self.b_w)
         self.mask[pre_id, post_id] = True
         t = AccessTrace()
@@ -228,8 +234,7 @@ class CsrStore(_FcStore):
         return dense
 
     def forward_lookup(self, pre_id):
-        if not 0 <= pre_id < self.n_pre:
-            raise IndexError(f"pre_id {pre_id} out of range [0, {self.n_pre})")
+        check_id("pre_id", pre_id, self.n_pre)
         lo, hi = int(self.row_ptr[pre_id]), int(self.row_ptr[pre_id + 1])
         t = AccessTrace()
         t.read(self.ptr_bank, 2)
@@ -238,8 +243,7 @@ class CsrStore(_FcStore):
         return list(zip(self.col_idx[lo:hi].tolist(), self.weights[lo:hi].tolist())), t
 
     def reverse_lookup(self, post_id):
-        if not 0 <= post_id < self.n_post:
-            raise IndexError(f"post_id {post_id} out of range [0, {self.n_post})")
+        check_id("post_id", post_id, self.n_post)
         t = AccessTrace()
         t.read(self.ptr_bank, self.n_pre + 1)
         t.read(self.idx_bank, self.nnz)
@@ -262,8 +266,8 @@ class CsrStore(_FcStore):
         return lo + pos
 
     def write_weight(self, pre_id, post_id, value):
-        if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
-            raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
+        check_id("pre_id", pre_id, self.n_pre)
+        check_id("post_id", post_id, self.n_post)
         t = AccessTrace()
         slot = self._locate(pre_id, post_id, t)
         self.weights[slot] = quantize_for_store(value, self.b_w)
@@ -320,8 +324,7 @@ class BitmapStore(_FcStore):
         return dense
 
     def forward_lookup(self, pre_id):
-        if not 0 <= pre_id < self.n_pre:
-            raise IndexError(f"pre_id {pre_id} out of range [0, {self.n_pre})")
+        check_id("pre_id", pre_id, self.n_pre)
         t = AccessTrace()
         t.read(self.ptr_bank)
         t.read(self.bitmap_bank, self.words_per_row)
@@ -338,8 +341,7 @@ class BitmapStore(_FcStore):
         return below + np.bitwise_count(partial)
 
     def reverse_lookup(self, post_id):
-        if not 0 <= post_id < self.n_post:
-            raise IndexError(f"post_id {post_id} out of range [0, {self.n_post})")
+        check_id("post_id", post_id, self.n_post)
         word, bit = divmod(post_id, self.w_word)
         t = AccessTrace()
         t.read(self.ptr_bank, self.n_pre)
@@ -350,8 +352,8 @@ class BitmapStore(_FcStore):
         return list(zip(rows.tolist(), weights.tolist())), t
 
     def write_weight(self, pre_id, post_id, value):
-        if not (0 <= pre_id < self.n_pre and 0 <= post_id < self.n_post):
-            raise IndexError(f"synapse ({pre_id}, {post_id}) out of range")
+        check_id("pre_id", pre_id, self.n_pre)
+        check_id("post_id", post_id, self.n_post)
         word, bit = divmod(post_id, self.w_word)
         t = AccessTrace()
         t.read(self.ptr_bank)

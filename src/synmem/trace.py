@@ -43,18 +43,6 @@ class AccessTrace:
             yield bank, r, w
 
     @property
-    def indirection_reads(self):
-        return sum(r for b, r, _ in self.banks() if b.kind == "index")
-
-    @property
-    def weight_reads(self):
-        return sum(r for b, r, _ in self.banks() if b.kind == "weight")
-
-    @property
-    def weight_writes(self):
-        return sum(w for b, _, w in self.banks() if b.kind == "weight")
-
-    @property
     def total_accesses(self):
         return sum(r + w for _, r, w in self.banks()) + self.logic_evals
 

@@ -12,11 +12,13 @@ per-neuron lookups in test_stores and test_conv.)
 
 import math
 
-from synmem.conv import build_functional, csr_from_conv, materialize
+from synmem.conv import build_functional, csr_from_conv
 from synmem.energy import DEFAULT_MODEL, ConvLayer, pass_energy, pass_pair
 from synmem.matrix import random_synapse_matrix
 from synmem.rng import CounterRng
 from synmem.stores import build_bitmap, build_crossbar, build_csr
+
+from reference_stores import materialize
 
 
 def fc_stores(n_pre, n_post, density, b_w, seed, w_word):

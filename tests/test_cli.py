@@ -9,8 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from synmem.cli import (CONFIG_KEYS, ConfigError, DEFAULT_CONFIG, build_parser,
-                        load_config, main, validate_csv)
+from synmem.cli import (CONFIG_KEYS, CURVE_COLUMNS, ConfigError, DEFAULT_CONFIG,
+                        SWEEP_COLUMNS, build_parser, load_config, main)
 from synmem.energy import load_cost_model, pass_energy
 from synmem.snn import TrainResult, train_cells
 from synmem.stores import FC_SCHEMES, fc_pass_traces
@@ -25,6 +25,11 @@ def write_cfg(tmp_path, overrides=None, name="cfg.json"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh), None)
 
 
 def run(args):
@@ -334,7 +339,7 @@ class TestCommands:
         cfg = write_cfg(tmp_path, SMALL_FC)
         assert run(["fc-sweep", "--config", cfg, "--out", tmp_path]) == 0
         out = tmp_path / "fc_sweep.csv"
-        assert validate_csv(str(out), "sweep_v1")
+        assert read_header(out) == SWEEP_COLUMNS
         rows = read_rows(out)
         assert len(rows) == 6    # 3 schemes x 2 bit widths
         assert {r["scheme"] for r in rows} == {"CB", "PB-CSR", "PB-BMP"}
@@ -377,7 +382,7 @@ class TestCommands:
                     "--seed", 5]) == 0
         rows = read_rows(tmp_path / "frontier.csv")
         assert len(rows) == 4    # 2 schemes x 2 bit widths
-        assert validate_csv(str(tmp_path / "curve_CB_2b.csv"), "curve_v1")
+        assert read_header(tmp_path / "curve_CB_2b.csv") == CURVE_COLUMNS
         curve = read_rows(tmp_path / "curve_PB_BMP_4b.csv")
         assert len(curve) == 3   # initial + 2 epochs
         assert curve[0]["fwd_pJ"] == "0.0"
@@ -610,15 +615,11 @@ class TestSchemaValidation:
         cfg = write_cfg(tmp_path, SMALL_FC)
         run(["fc-sweep", "--config", cfg, "--out", tmp_path])
         path = tmp_path / "fc_sweep.csv"
+        assert read_header(path) == SWEEP_COLUMNS
         content = path.read_text().splitlines()
         content[0] = content[0].replace("forward_pJ", "fwd")
         path.write_text("\n".join(content))
-        with pytest.raises(ConfigError):
-            validate_csv(str(path), "sweep_v1")
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            validate_csv(str(tmp_path / "x.csv"), "nope_v9")
+        assert read_header(path) != SWEEP_COLUMNS
 
 
 def test_parser_requires_subcommand():

@@ -7,10 +7,13 @@ import pytest
 
 from synmem.conv import (ConvGeometry, _valid_1d, build_functional, connection_count,
                          conv_forward_addresses, conv_reverse_addresses,
-                         csr_from_conv, functional_pass_traces, materialize)
+                         csr_from_conv, functional_pass_traces)
 from synmem.rng import CounterRng
 from synmem.stores import build_csr, fc_pass_traces
 from synmem.trace import AccessTrace
+
+from reference_stores import (materialize, post_index, pre_index, weight_reads,
+                              weight_writes)
 
 
 def random_kernel(g, seed):
@@ -44,15 +47,15 @@ class TestGeometry:
     def test_index_round_trip(self):
         g = ConvGeometry(5, 7, 3, 3, 2, 3)
         for pre_id in range(g.n_pre):
-            assert g.pre_index(*g.pre_coords(pre_id)) == pre_id
+            assert pre_index(g, *g.pre_coords(pre_id)) == pre_id
         for post_id in range(g.n_post):
-            assert g.post_index(*g.post_coords(post_id)) == post_id
+            assert post_index(g, *g.post_coords(post_id)) == post_id
 
 
 class TestAddresses:
     def test_corner_clipping(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
-        posts, ks, logic = conv_forward_addresses(g, g.pre_index(0, 0, 0))
+        posts, ks, logic = conv_forward_addresses(g, pre_index(g, 0, 0, 0))
         assert logic == 9
         assert posts.dtype == ks.dtype == np.int64
         assert {g.post_coords(p)[:2] for p in posts.tolist()} == \
@@ -61,29 +64,29 @@ class TestAddresses:
 
     def test_interior_full_fanout(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
-        posts, ks, logic = conv_forward_addresses(g, g.pre_index(2, 2, 0))
+        posts, ks, logic = conv_forward_addresses(g, pre_index(g, 2, 2, 0))
         assert len(posts) == len(ks) == 9 and logic == 9
 
     def test_interior_fanout_with_channels(self):
         g = ConvGeometry(28, 28, 3, 3, 32, 32)
-        posts, ks, logic = conv_forward_addresses(g, g.pre_index(14, 14, 7))
+        posts, ks, logic = conv_forward_addresses(g, pre_index(g, 14, 14, 7))
         assert len(posts) == 9 * 32
         assert logic == 9 * 32
         # row-major kernel order, out channel innermost
         assert ks.tolist() == np.repeat(np.arange(9), 32).tolist()
-        assert posts[:32].tolist() == [g.post_index(13, 13, oc) for oc in range(32)]
+        assert posts[:32].tolist() == [post_index(g, 13, 13, oc) for oc in range(32)]
 
     def test_reverse_corner(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
-        pres, ks, _ = conv_reverse_addresses(g, g.post_index(0, 0, 0))
+        pres, ks, _ = conv_reverse_addresses(g, post_index(g, 0, 0, 0))
         assert len(pres) == 4
         assert pres.dtype == ks.dtype == np.int64
         # the pre at (1, 1) feeds (0, 0) through offset (-1, -1), kernel index 0
-        assert (g.pre_index(1, 1, 0), 0) in zip(pres.tolist(), ks.tolist())
+        assert (pre_index(g, 1, 1, 0), 0) in zip(pres.tolist(), ks.tolist())
 
     def test_reverse_interior_full_fanin(self):
         g = ConvGeometry(9, 9, 3, 5, 4, 2)
-        pres, _, logic = conv_reverse_addresses(g, g.post_index(4, 4, 1))
+        pres, _, logic = conv_reverse_addresses(g, post_index(g, 4, 4, 1))
         assert len(pres) == 3 * 5 * 4
         assert logic == 3 * 5 * 4
 
@@ -135,7 +138,7 @@ class TestFunctionalStore:
         s = build_functional(g, np.full((1, 1, 1, 1), 0.5), 8)
         got, t = s.forward_lookup(0)
         assert got == [(0, 0.5)]
-        assert t.logic_evals == 1 and t.weight_reads == 1
+        assert t.logic_evals == 1 and weight_reads(t) == 1
         assert sum(s.storage_bits().values()) == 8
 
     def test_storage_closed_form(self):
@@ -159,8 +162,8 @@ class TestFunctionalStore:
                     for qc in range(4):
                         acc = (padded[qr:qr + 3, qc:qc + 3] *
                                np.flip(s.kernel[0, 0], (0, 1))).sum()
-                        pre = g.pre_index(pr, pc, 0)
-                        post = g.post_index(qr, qc, 0)
+                        pre = pre_index(g, pr, pc, 0)
+                        post = post_index(g, qr, qc, 0)
                         assert mat.weights[pre, post] == pytest.approx(acc, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(8, 8, 3, 3, 2, 2), (4, 4, 3, 3, 1, 1),
@@ -215,24 +218,24 @@ class TestFunctionalStore:
         total_reads = 0
         for post_id in range(g.n_post):
             _, t = s.reverse_lookup(post_id)
-            total_reads += t.weight_reads
+            total_reads += weight_reads(t)
         assert total_reads == connection_count(g)
 
     def test_write_weight_updates_shared_word(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 1)
         s = build_functional(g, random_kernel(g, 4), 8)
-        pre = g.pre_index(1, 1, 0)
-        post = g.post_index(2, 2, 0)     # offset (+1, +1)
+        pre = pre_index(g, 1, 1, 0)
+        post = post_index(g, 2, 2, 0)     # offset (+1, +1)
         t = s.write_weight(pre, post, 0.5)
-        assert t.weight_writes == 1 and t.logic_evals == 1
+        assert weight_writes(t) == 1 and t.logic_evals == 1
         # every pair at the same offset shares the stored word
-        assert (g.post_index(1, 1, 0), 0.5) in s.forward_lookup(g.pre_index(0, 0, 0))[0]
+        assert (post_index(g, 1, 1, 0), 0.5) in s.forward_lookup(pre_index(g, 0, 0, 0))[0]
 
     def test_write_to_non_offset_pair_rejected(self):
         g = ConvGeometry(5, 5, 3, 3, 1, 1)
         s = build_functional(g, random_kernel(g, 5), 8)
         with pytest.raises(KeyError):
-            s.write_weight(g.pre_index(0, 0, 0), g.post_index(4, 4, 0), 0.1)
+            s.write_weight(pre_index(g, 0, 0, 0), post_index(g, 4, 4, 0), 0.1)
 
 
 class TestPassTraces:
@@ -250,7 +253,7 @@ class TestPassTraces:
         f2, b2, u2 = functional_pass_traces(g, 8)
         assert f2 == fwd and b2 == bwd
         assert u2 == s.weight_update_trace()
-        assert u2.weight_writes == g.kernel_words
+        assert weight_writes(u2) == g.kernel_words
 
     def test_conv_csr_pass_traces_match_real_store(self):
         g = ConvGeometry(5, 4, 3, 3, 2, 3)
@@ -263,8 +266,8 @@ class TestPassTraces:
     def test_conv_crossbar_pass_traces_shapes(self):
         g = ConvGeometry(4, 4, 3, 3, 1, 2)
         f, b, u = fc_pass_traces("CB", g.n_pre, g.n_post, connection_count(g), 8)
-        assert f.weight_reads == g.n_pre * g.n_post
-        assert u.weight_writes == connection_count(g)
+        assert weight_reads(f) == g.n_pre * g.n_post
+        assert weight_writes(u) == connection_count(g)
 
     @pytest.mark.parametrize("dims,sha256", [
         ((28, 28, 3, 3, 8, 8),
@@ -294,5 +297,5 @@ class TestPassTraces:
         assert f == csr.forward_pass_trace()
         assert b == csr.backward_scan_trace()
         assert u == csr.weight_update_trace()
-        got, _ = csr.forward_lookup(g.pre_index(14, 14, 7))
+        got, _ = csr.forward_lookup(pre_index(g, 14, 14, 7))
         assert len(got) == 9 * 32

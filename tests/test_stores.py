@@ -13,10 +13,13 @@ from synmem.conv import ConvGeometry, build_functional
 from synmem.matrix import SynapseMatrix, random_synapse_matrix
 from synmem.quant import quantize_weights, sigma
 from synmem.rng import CounterRng
-from synmem.serialize import ContainerError, from_bytes, summary, to_bytes
+from synmem.serialize import ContainerError, from_bytes, to_bytes
 from synmem.stores import (BitmapStore, CrossbarStore, CsrStore, build_bitmap,
                             build_crossbar, build_csr, ceil_log2, fc_pass_traces)
 from synmem.trace import AccessTrace
+
+from reference_stores import (forward_row, indirection_reads, reverse_col,
+                              weight_reads, weight_writes)
 
 ALL_BUILDERS = [build_crossbar, build_csr, build_bitmap]
 
@@ -39,10 +42,10 @@ class TestOracleEquivalence:
             s = build(m, 8)
             for i in range(n_pre):
                 got, _ = s.forward_lookup(i)
-                assert got == oracle.forward_row(i), (s.scheme, "fwd", i)
+                assert got == forward_row(oracle, i), (s.scheme, "fwd", i)
             for j in range(n_post):
                 got, _ = s.reverse_lookup(j)
-                assert got == oracle.reverse_col(j), (s.scheme, "rev", j)
+                assert got == reverse_col(oracle, j), (s.scheme, "rev", j)
 
     def test_present_synapse_quantized_to_zero_is_still_reported(self):
         # |w| below half a grid step snaps to 0 but stays a synapse
@@ -63,24 +66,24 @@ class TestOracleEquivalence:
         cb = build_crossbar(m, 4)
         assert np.count_nonzero(cb.weights) == 0
 
-    def test_index_errors(self):
-        m = random_synapse_matrix(5, 7, 0.5, CounterRng(0))
-        for build in ALL_BUILDERS:
-            s = build(m, 8)
-            with pytest.raises(IndexError):
-                s.forward_lookup(5)
-            with pytest.raises(IndexError):
-                s.reverse_lookup(7)
-            with pytest.raises(IndexError):
-                s.write_weight(-1, 0, 0.1)
-        g = ConvGeometry(2, 3, 3, 1, 2, 4)
-        s = build_functional(g, np.zeros((2, 4, 3, 1)), 8)
-        with pytest.raises(IndexError):
-            s.forward_lookup(g.n_pre)
-        with pytest.raises(IndexError):
-            s.reverse_lookup(g.n_post)
-        with pytest.raises(IndexError):
-            s.write_weight(-1, 0, 0.1)
+    @pytest.mark.parametrize("scheme", ["CB", "PB-CSR", "PB-BMP", "FUNC"])
+    def test_index_errors(self, scheme):
+        if scheme == "FUNC":
+            g = ConvGeometry(2, 3, 3, 1, 2, 4)
+            s = build_functional(g, np.zeros((2, 4, 3, 1)), 8)
+        else:
+            m = random_synapse_matrix(5, 7, 0.5, CounterRng(0))
+            s = {"CB": build_crossbar, "PB-CSR": build_csr,
+                 "PB-BMP": build_bitmap}[scheme](m, 8)
+        cases = [("pre_id", s.n_pre, s.forward_lookup),
+                 ("pre_id", s.n_pre, lambda i: s.write_weight(i, 0, 0.1)),
+                 ("post_id", s.n_post, s.reverse_lookup),
+                 ("post_id", s.n_post, lambda i: s.write_weight(0, i, 0.1))]
+        for kind, n, call in cases:
+            for bad in (-1, n):
+                with pytest.raises(IndexError,
+                                   match=rf"^{kind} {bad} out of range \[0, {n}\)$"):
+                    call(bad)
 
     @pytest.mark.parametrize("w_word", [1, 7, 64])
     @pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
@@ -98,15 +101,15 @@ class TestTraceContracts:
         m = random_synapse_matrix(16, 128, 0.1, CounterRng(1))
         s = build_crossbar(m, 8)
         _, t = s.forward_lookup(3)
-        assert t.weight_reads == 128
-        assert t.indirection_reads == 0
+        assert weight_reads(t) == 128
+        assert indirection_reads(t) == 0
 
     def test_crossbar_reverse_reads_full_column(self):
         m = random_synapse_matrix(728, 128, 0.3, CounterRng(2))
         s = build_crossbar(m, 8)
         _, t = s.reverse_lookup(10)
-        assert t.weight_reads == 728
-        assert t.indirection_reads == 0
+        assert weight_reads(t) == 728
+        assert indirection_reads(t) == 0
 
     def test_csr_forward_trace(self):
         # row with exactly 3 nonzeros: 2 ptr + 3 idx + 3 weight reads
@@ -158,13 +161,13 @@ class TestTraceContracts:
         i, j = present[5]
         cb = build_crossbar(m, 8)
         t = cb.write_weight(i, j, 0.25)
-        assert t.weight_writes == 1 and t.indirection_reads == 0
+        assert weight_writes(t) == 1 and indirection_reads(t) == 0
         bmp = build_bitmap(m, 8, w_word=32)
         t = bmp.write_weight(i, j, 0.25)
         reads = {b.name: r for b, r, _ in t.banks()}
         assert reads["row_ptr"] == 1
         assert reads["bitmap"] == j // 32 + 1
-        assert t.weight_writes == 1
+        assert weight_writes(t) == 1
         got, _ = bmp.forward_lookup(i)
         assert (j, 0.25) in got
 
@@ -176,7 +179,7 @@ class TestTraceContracts:
         t = s.write_weight(0, 9, -0.5)
         reads = {b.name: r for b, r, _ in t.banks() if r}
         assert reads == {"row_ptr": 2, "col_idx": 3}   # scan stops at the hit
-        assert t.weight_writes == 1
+        assert weight_writes(t) == 1
         assert s.forward_lookup(0)[0][2] == (9, -0.5)
 
     def test_column_writes_each_search_less_than_a_scan(self):
@@ -187,8 +190,8 @@ class TestTraceContracts:
         writes = AccessTrace()
         for i, _ in matches:
             writes += s.write_weight(i, 4, 0.125)
-        assert writes.weight_writes == len(matches)
-        assert writes.indirection_reads < scan.indirection_reads * len(matches)
+        assert weight_writes(writes) == len(matches)
+        assert indirection_reads(writes) < indirection_reads(scan) * len(matches)
 
     def test_writes_to_absent_synapses(self):
         m = random_synapse_matrix(6, 6, 0.3, CounterRng(6))
@@ -232,19 +235,19 @@ class TestPassTraces:
         m = random_synapse_matrix(11, 40, 0.4, CounterRng(10))
         s = build(m, 8)
         scan = s.backward_scan_trace()
-        assert scan.weight_reads == s.nnz
+        assert weight_reads(scan) == s.nnz
         # the amortized scan is strictly cheaper than per-post scans
         per_post = AccessTrace()
         for j in range(m.n_post):
             per_post += s.reverse_lookup(j)[1]
-        assert scan.indirection_reads < per_post.indirection_reads
-        assert per_post.weight_reads == s.nnz
+        assert indirection_reads(scan) < indirection_reads(per_post)
+        assert weight_reads(per_post) == s.nnz
 
     @pytest.mark.parametrize("build", ALL_BUILDERS)
     def test_update_writes_one_per_synapse(self, build):
         m = random_synapse_matrix(13, 17, 0.45, CounterRng(11))
         s = build(m, 8)
-        assert s.weight_update_trace().weight_writes == m.nnz
+        assert weight_writes(s.weight_update_trace()) == m.nnz
 
     def test_scaled_trace_additivity(self):
         m = random_synapse_matrix(5, 5, 0.6, CounterRng(12))
@@ -375,13 +378,6 @@ class TestSerialization:
         assert back.nnz == 0
         assert back.forward_lookup(1)[0] == []
         assert back.reverse_lookup(2)[0] == []
-
-    def test_summary_record(self):
-        m = random_synapse_matrix(728, 128, 0.75, CounterRng(18))
-        rec = summary(build_bitmap(m, 8))
-        assert rec["scheme"] == "PB-BMP"
-        assert rec["density"] == pytest.approx(0.75, abs=1e-4)
-        assert rec["storage_bits"]["bitmap"] == 728 * 4 * 32
 
 
 # ------------------------------------------------------- container boundary

@@ -28,6 +28,7 @@ every row is computed.
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -144,19 +145,14 @@ DEFAULT_CONFIG = {
 _FULL_SCALE = {"layer_sizes": [700, 400, 250], "steps": 250, "epochs": 10000}
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path, schema, rows):
     columns = _SCHEMAS[schema]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
         for row in rows:
-            w.writerow([_fmt(row.get(c, "")) for c in columns])
+            # csv writes str(x); a float's str is its shortest round-trip repr
+            w.writerow([row.get(c, "") for c in columns])
 
 
 def load_config(path):
@@ -391,7 +387,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser of the process: parse_args leaves it unchanged,
+    so repeated `main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="synmem",
         description="Energy profiling of synaptic connectivity storage schemes")

@@ -138,6 +138,7 @@ def pass_energy(trace, model, scheme=""):
     """
     active = trace.logic_evals * model.e_logic
     leak_rate = 0.0
+    accesses = trace.logic_evals
     for bank, reads, writes in trace.banks():
         if bank.word_bits < 0 or bank.n_words < 0:
             raise ValueError(f"invalid bank metadata {bank}")
@@ -145,7 +146,8 @@ def pass_energy(trace, model, scheme=""):
         active += (reads * model.e_read(capacity, bank.word_bits)
                    + writes * model.e_write(capacity, bank.word_bits))
         leak_rate += model.p_leak(capacity)
-    t_pass = trace.total_accesses * model.t_access
+        accesses += reads + writes
+    t_pass = accesses * model.t_access
     return PassEnergyReport(finite_energy(active, "%s active energy", scheme),
                             finite_energy(leak_rate * t_pass, "%s leakage", scheme),
                             leak_rate)

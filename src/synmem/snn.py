@@ -466,6 +466,13 @@ def _descend(weights, grads, quants, etas, lr, vr, round_rng):
                 weights[li][c] = weights[li][c] - lr * float(vr[c]) * g[c]
 
 
+def _stack_bytes(weights):
+    """Every weight stack's bits. At lr 0 a quantized step is already on its
+    grid, so the rounding draws cannot move it: an lr-0 epoch that leaves these
+    bits unchanged leaves every later epoch's inputs, rows and prices unchanged."""
+    return [w.tobytes() for w in weights]
+
+
 def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
     """Gradient-descent pattern retention with per-epoch energy accounting,
     one cell per entry of `quants`, trained as one batch.
@@ -530,6 +537,8 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
         # held-at-threshold neurons otherwise chatter forever
         lr = cfg.lr * max(0.0, 1.0 - epoch / cfg.lr_anneal) if cfg.lr_anneal \
             else cfg.lr
+        # the schedule never rises, so an lr of 0 stays 0 for every later epoch
+        before = _stack_bytes(weights) if lr == 0.0 else None
         _descend(weights, _gradients(histories, weights, etas, g_out, params),
                  quants, etas, lr, vr, round_rng)
         histories = _episode(p_first, weights, etas, b_ms, params)
@@ -544,6 +553,15 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
                     priced[key] = _epoch_energy(scheme, shapes, nnz, b_w, cfg.steps,
                                                 cost_model)
                 res.energy[scheme].append(priced[key])
+        if before is not None and _stack_bytes(weights) == before:
+            # a fixed point: every later epoch repeats this one exactly
+            repeats = epochs - epoch - 1
+            for res in results:
+                res.vr_curve.extend(res.vr_curve[-1:] * repeats)
+                res.sparsity.extend(res.sparsity[-1:] * repeats)
+                for pairs in res.energy.values():
+                    pairs.extend(pairs[-1:] * repeats)
+            break
 
     for c, res in enumerate(results):
         res.weights = [w[c] for w in weights]

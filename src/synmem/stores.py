@@ -388,10 +388,13 @@ def build_csr(m: SynapseMatrix, b_w):
 
 
 def build_bitmap(m: SynapseMatrix, b_w, w_word=32):
-    bitmap = np.zeros((m.n_pre, bitmap_words(m.n_post, w_word)), dtype=np.uint64)
+    words = bitmap_words(m.n_post, w_word)
+    bits = np.zeros((m.n_pre, words * w_word), dtype=bool)
+    bits[:, :m.n_post] = m.mask
+    # column j is bit j % w_word of word j // w_word; the bits differ, so a sum is an OR
+    bitmap = np.left_shift(bits.reshape(m.n_pre, words, w_word),
+                           np.arange(w_word, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
     rows, cols = np.nonzero(m.mask)
-    np.bitwise_or.at(bitmap, (rows, cols // w_word),
-                     np.uint64(1) << (cols % w_word).astype(np.uint64))
     weights = quantize_for_store(m.weights[rows, cols], b_w)
     return BitmapStore(row_starts(m.mask.sum(axis=1))[:-1], bitmap, weights, m.n_post,
                        b_w, w_word)

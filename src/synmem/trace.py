@@ -6,11 +6,11 @@ traces taken against identical memory configurations merge, and traces are
 additive: the trace of a whole pass is the sum of its per-event traces.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MemBank:
+class MemBank(NamedTuple):
+    """A bank's identity; a tuple, so trace dicts hash it in C."""
     name: str        # "weight", "row_ptr", "col_idx", "bitmap"
     kind: str        # "weight" or "index"
     n_words: int
@@ -42,10 +42,6 @@ class AccessTrace:
         for bank, (r, w) in self._banks.items():
             yield bank, r, w
 
-    @property
-    def total_accesses(self):
-        return sum(r + w for _, r, w in self.banks()) + self.logic_evals
-
     def __iadd__(self, other):
         for bank, r, w in other.banks():
             acc = self._banks.setdefault(bank, [0, 0])
@@ -65,8 +61,7 @@ class AccessTrace:
         if k < 0:
             raise ValueError("scale must be nonnegative")
         out = AccessTrace()
-        for bank, r, w in self.banks():
-            out._banks[bank] = [r * k, w * k]
+        out._banks = {bank: [r * k, w * k] for bank, (r, w) in self._banks.items()}
         out.logic_evals = self.logic_evals * k
         return out
 

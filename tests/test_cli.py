@@ -601,6 +601,23 @@ def test_train_workload_bytes_are_fixed(tmp_path, seed):
             for name in os.listdir(out)} == TRAIN_WORKLOAD_SHA256[seed]
 
 
+# the default train-frontier at seed 0, as written by a loop that ran all 2000
+# epochs (on one and on two BLAS threads alike): the run stops at its fixed
+# point from epoch 180 on and must repeat those bytes
+DEFAULT_TRAIN_SHA256 = {
+    "frontier.csv": "5e61ad748a338765b215a7cb5d668d4c5ee92088d3050b195e96584640e5f8d2",
+    "run_manifest.json":
+        "fdb6ebb245b03af4900405a4cfa87904e142280e4278bfd45075bd4df5899464",
+}
+
+
+def test_default_train_frontier_bytes_are_fixed(tmp_path):
+    out = tmp_path / "out"
+    assert run(["train-frontier", "--config", write_cfg(tmp_path), "--out", out]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in DEFAULT_TRAIN_SHA256} == DEFAULT_TRAIN_SHA256
+
+
 @pytest.mark.parametrize("command,section", COMMAND_SECTIONS)
 def test_out_holds_exactly_the_manifest_outputs(tmp_path, command, section):
     cfg = write_cfg(tmp_path, section)
@@ -623,14 +640,22 @@ class TestSchemaValidation:
 
 
 def test_parser_requires_subcommand():
+    assert build_parser() is build_parser()       # one parser per process
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    # a refused argv leaves the shared parser working
+    args = build_parser().parse_args(["fc-sweep", "--config", "c.json", "--out", "o"])
+    assert (args.command, args.seed) == ("fc-sweep", 0)
 
 
 def test_parser_full_scale_flag():
     args = build_parser().parse_args(
         ["train-frontier", "--config", "c.json", "--out", "o", "--full-scale"])
     assert args.full_scale
+    # the shared parser keeps no value from the parse before
+    args = build_parser().parse_args(
+        ["train-frontier", "--config", "c.json", "--out", "o"])
+    assert not args.full_scale
     args = build_parser().parse_args(
         ["fc-sweep", "--config", "c.json", "--out", "o", "--seed", "3"])
     assert args.seed == 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from synmem.energy import CostModel, pass_energy
 from synmem.rng import CounterRng, derive_seed
 from synmem.trace import AccessTrace, MemBank
 
@@ -60,12 +61,12 @@ class TestTrace:
         a = AccessTrace()
         a.read(bank, 3)
         b = AccessTrace()
-        b.read(bank, 2)
+        b.read(MemBank("weight", "weight", 64, 8), 2)  # built apart, same key
         b.read(other, 5)
         b.logic(4)
         merged = a + b
         counts = {bk: r for bk, r, _ in merged.banks()}
-        assert counts[bank] == 5 and counts[other] == 5
+        assert counts == {bank: 5, other: 5}
         assert merged.logic_evals == 4
 
     def test_kind_rollups(self):
@@ -76,7 +77,9 @@ class TestTrace:
         assert indirection_reads(t) == 7
         assert weight_reads(t) == 2
         assert weight_writes(t) == 3
-        assert t.total_accesses == 12
+        # every bank leaks for t_access per access: 12 reads and writes
+        model = CostModel(a_leak=1.0, t_access=1.0, round_pow2=False)
+        assert pass_energy(t, model).leakage_energy == (40 + 80) * 12
 
     def test_equality_ignores_zero_entries(self):
         bank = MemBank("weight", "weight", 4, 4)
@@ -97,3 +100,8 @@ class TestTrace:
 
     def test_capacity_bits(self):
         assert MemBank("weight", "weight", 100, 8).capacity_bits == 800
+
+    def test_repr_names_every_field(self):
+        # error messages such as pass_energy's "invalid bank metadata" embed it
+        assert repr(MemBank("weight", "weight", 4, 4)) == (
+            "MemBank(name='weight', kind='weight', n_words=4, word_bits=4)")

@@ -1,6 +1,7 @@
 """LIF dynamics, surrogate gradients vs finite differences, van Rossum
 distance, task generators and the trainer."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import reference_snn
+from synmem import snn
 from synmem.energy import DEFAULT_MODEL, pass_energy
 from synmem.matrix import SynapseMatrix
 from synmem.quant import QuantConfig, eta, quantize_weights
@@ -605,6 +607,39 @@ class TestTrainCells:
                                    "OPENBLAS_NUM_THREADS": "1"},
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestFixedPoint:
+    """train_cells stops once an lr-0 epoch leaves every weight bit unchanged
+    and repeats that epoch's row; the rows must be those a loop running every
+    epoch computes. Each case trains a quantized and a full-precision cell."""
+
+    CELLS = [QuantConfig(b_w=3, fan_in=12), None]
+
+    @pytest.mark.parametrize("lr,lr_anneal,epochs,stops", [
+        (0.5, 6, 14, True),        # learns, then crosses the anneal point
+        (0.0, 0, 6, True),         # lr 0 from epoch 0
+        (0.5, 0, 6, False),        # lr never reaches 0: no fixed point
+    ])
+    def test_stop_equals_running_every_epoch(self, monkeypatch, lr, lr_anneal,
+                                             epochs, stops):
+        cfg = NetworkConfig(layer_sizes=(12, 6, 3), steps=12, lr=lr,
+                            lr_anneal=lr_anneal)
+        episodes = []
+        episode = snn._episode
+        monkeypatch.setattr(snn, "_episode",
+                            lambda *args: episodes.append(1) or episode(*args))
+        got = train_cells(cfg, ["CB", "PB-BMP"], self.CELLS, epochs, seed=3)
+        assert (len(episodes) < epochs + 1) == stops
+        # no two snapshots compare equal, so every epoch runs
+        fresh = itertools.count()
+        monkeypatch.setattr(snn, "_stack_bytes", lambda weights: next(fresh))
+        want = train_cells(cfg, ["CB", "PB-BMP"], self.CELLS, epochs, seed=3)
+        for g, w in zip(got, want):
+            assert len(g.vr_curve) == epochs + 1
+            assert_same_result(g, w)
+        if lr:
+            assert all(len(set(g.vr_curve)) > 1 for g in got)    # the cells learned
 
 
 class TestNetworkConfig:

@@ -95,6 +95,18 @@ class TestOracleEquivalence:
             assert (got.dtype, got.shape) == (want.dtype, want.shape), s.scheme
             assert got.tobytes() == want.tobytes(), s.scheme
 
+    @pytest.mark.parametrize("w_word", [1, 7, 32, 64])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.75, 1.0])
+    def test_bitmap_words_match_per_bit_or(self, density, w_word):
+        # 67 columns: no width above 1 divides them, so the last word is partial
+        m = random_synapse_matrix(9, 67, density, CounterRng(31))
+        want = np.zeros((9, -(-67 // w_word)), dtype=np.uint64)
+        rows, cols = np.nonzero(m.mask)
+        np.bitwise_or.at(want, (rows, cols // w_word),
+                         np.uint64(1) << (cols % w_word).astype(np.uint64))
+        got = build_bitmap(m, 8, w_word).bitmap
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestTraceContracts:
     def test_crossbar_forward_reads_full_row(self):

@@ -9,7 +9,8 @@ fetched. Only the kernel weights occupy memory. Each rule lives once:
 position or of a whole array of them, and `_steps` turns each tap's offset
 (dr, dc) into a position step dr * in_w + dc. The address generators apply
 both to one neuron id in one array pass, and `csr_from_conv` to the whole
-image at once.
+image at once. A weight write finds its tap through the forward address
+rule, so writes and lookups share one connectivity rule.
 
 Geometry is stride 1 with zero ("same") padding, so input and output share
 the spatial extent. Neuron ids flatten as (row * in_w + col) * channels +
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stores import CsrStore, check_id, quantize_for_store, row_starts
+from .quant import quantize_weights
+from .stores import CsrStore, check_id, row_starts
 from .trace import AccessTrace, MemBank
 
 
@@ -59,16 +61,6 @@ class ConvGeometry:
     @property
     def kernel_words(self):
         return self.c_in * self.c_out * self.k_h * self.k_w
-
-    def pre_coords(self, pre_id):
-        rc, ic = divmod(pre_id, self.c_in)
-        r, c = divmod(rc, self.in_w)
-        return r, c, ic
-
-    def post_coords(self, post_id):
-        rc, oc = divmod(post_id, self.c_out)
-        r, c = divmod(rc, self.in_w)
-        return r, c, oc
 
 
 def _offsets(extent):
@@ -152,7 +144,8 @@ class FunctionalStore:
     The weight bank holds c_in * c_out * k_h * k_w words indexed by
     (ic, oc, kr, kc). A lookup takes its neuron ids and kernel indexes from
     the address generators above and gathers its weights with one index into
-    the kernel; the generators' candidate count is its logic cost.
+    the kernel; the generators' candidate count is its logic cost. A write
+    finds its tap among the pre's forward addresses at one logic evaluation.
     """
 
     scheme = "FUNC"
@@ -195,17 +188,16 @@ class FunctionalStore:
 
     def write_weight(self, pre_id, post_id, value):
         g = self.geometry
-        check_id("pre_id", pre_id, self.n_pre)
+        posts, ks, _ = conv_forward_addresses(g, pre_id)
         check_id("post_id", post_id, self.n_post)
-        pr, pc, ic = g.pre_coords(pre_id)
-        qr, qc, oc = g.post_coords(post_id)
-        dr, dc = qr - pr, qc - pc
+        k = ks[posts == post_id]
+        if not k.size:
+            raise KeyError(f"synapse ({pre_id}, {post_id}) not a kernel offset")
+        kr, kc = divmod(int(k[0]), g.k_w)
+        self.kernel[pre_id % g.c_in, post_id % g.c_out, kr, kc] = \
+            quantize_weights(value, self.b_w)
         t = AccessTrace()
         t.logic()
-        if abs(dr) > g.k_h // 2 or abs(dc) > g.k_w // 2:
-            raise KeyError(f"synapse ({pre_id}, {post_id}) not a kernel offset")
-        self.kernel[ic, oc, dr + g.k_h // 2, dc + g.k_w // 2] = \
-            quantize_for_store(value, self.b_w)
         t.write(self.weight_bank)
         return t
 
@@ -224,7 +216,7 @@ def build_functional(g, kernel, b_w):
     expected = (g.c_in, g.c_out, g.k_h, g.k_w)
     if kernel.shape != expected:
         raise ValueError(f"kernel shape {kernel.shape} != {expected}")
-    return FunctionalStore(g, quantize_for_store(kernel, b_w), b_w)
+    return FunctionalStore(g, quantize_weights(kernel, b_w), b_w)
 
 
 def csr_from_conv(g, kernel, b_w):

@@ -44,33 +44,22 @@ def finite_energy(value, what, *args):
     return value
 
 
-# Frozen output of calibrate_defaults() at the canonical anchors
-# (forward overhead 1.03, backward ratio 0.42 on the reference conv layer).
-FACTORY_CONSTANTS = {
-    "a_read": 1.0,
-    "b_read": 0.1,
-    "a_write": 1.0,
-    "b_write": 0.5190291737030296,
-    "a_leak": 1e-6,
-    "e_logic": 22701.3570907843,
-    "t_access": 1.0,
-    "round_pow2": True,
-}
-
 def next_pow2(n):
     return 2 ** ceil_log2(n)
 
 
 @dataclass(frozen=True)
 class CostModel:
-    a_read: float = FACTORY_CONSTANTS["a_read"]
-    b_read: float = FACTORY_CONSTANTS["b_read"]
-    a_write: float = FACTORY_CONSTANTS["a_write"]
-    b_write: float = FACTORY_CONSTANTS["b_write"]
-    a_leak: float = FACTORY_CONSTANTS["a_leak"]
-    e_logic: float = FACTORY_CONSTANTS["e_logic"]
-    t_access: float = FACTORY_CONSTANTS["t_access"]
-    round_pow2: bool = FACTORY_CONSTANTS["round_pow2"]
+    # Defaults: the frozen output of calibrate_defaults() at the canonical
+    # anchors (forward overhead 1.03, backward ratio 0.42, reference conv layer).
+    a_read: float = 1.0
+    b_read: float = 0.1
+    a_write: float = 1.0
+    b_write: float = 0.5190291737030296
+    a_leak: float = 1e-6
+    e_logic: float = 22701.3570907843
+    t_access: float = 1.0
+    round_pow2: bool = True
 
     def __post_init__(self):
         if not isinstance(self.round_pow2, bool):
@@ -105,6 +94,7 @@ class CostModel:
 
 
 DEFAULT_MODEL = CostModel()
+FACTORY_CONSTANTS = DEFAULT_MODEL.constants()
 
 
 def load_cost_model(source):
@@ -118,7 +108,7 @@ def load_cost_model(source):
     unknown = set(source) - set(FACTORY_CONSTANTS)
     if unknown:
         raise ValueError(f"unknown cost model keys: {sorted(unknown)}")
-    return CostModel(**{**FACTORY_CONSTANTS, **source})
+    return CostModel(**source)
 
 
 @dataclass
@@ -307,7 +297,7 @@ def calibrate_defaults(anchors=None):
 
     def priced(e_logic, b_write):
         """{scheme: (forward_pJ, backward_pJ)} of the layer at these constants."""
-        model = CostModel(**{**FACTORY_CONSTANTS, "e_logic": e_logic, "b_write": b_write})
+        model = CostModel(e_logic=e_logic, b_write=b_write)
         return {name: tuple(r.active_energy for r in pass_pair(t, model, name))
                 for name, t in traces.items()}
 
@@ -328,9 +318,9 @@ def calibrate_defaults(anchors=None):
         raise CalibrationError(
             f"backward anchor {rho_b} needs nonpositive write energy")
 
-    constants = {**FACTORY_CONSTANTS, "e_logic": e_logic, "b_write": b_write}
-    _check_orderings(CostModel(**constants))
-    return constants
+    model = CostModel(e_logic=e_logic, b_write=b_write)
+    _check_orderings(model)
+    return model.constants()
 
 
 def _check_orderings(model):

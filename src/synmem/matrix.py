@@ -48,5 +48,4 @@ def random_mask(n_pre, n_post, density, rng):
 def random_synapse_matrix(n_pre, n_post, density, rng, lo=-1.0, hi=1.0):
     """Seeded random matrix at an exact density, weights uniform in [lo, hi)."""
     mask = random_mask(n_pre, n_post, density, rng)
-    weights = rng.uniform_range(lo, hi, (n_pre, n_post))
-    return SynapseMatrix(np.where(mask, weights, 0.0), mask)
+    return SynapseMatrix(rng.uniform_range(lo, hi, (n_pre, n_post)), mask)

@@ -13,9 +13,7 @@ def sigma(bits):
 
 
 def weight_range(b_w):
-    """Feasible weight interval (-1 + sigma(b_w), +1 - sigma(b_w))."""
-    if b_w < 2:
-        raise ValueError(f"weight bit width must be >= 2, got {b_w}")
+    """Feasible weight interval (-1 + sigma(b_w), +1 - sigma(b_w)): (0.0, 0.0) at 1 bit."""
     s = sigma(b_w)
     return (-1.0 + s, 1.0 - s)
 

@@ -50,20 +50,6 @@ def ceil_log2(n):
     return 0 if n <= 1 else int(n - 1).bit_length()
 
 
-def quantize_for_store(values, b_w):
-    """Weight words for a b_w-bit store.
-
-    The signed grid at one bit degenerates to {0} (its feasible range is
-    empty), so 1-bit stores hold zero words; wider stores use the normal
-    clip-and-snap grid.
-    """
-    if b_w < 1:
-        raise ValueError(f"b_w must be >= 1, got {b_w}")
-    if b_w == 1:
-        return np.zeros_like(np.asarray(values, dtype=np.float64))
-    return quantize_weights(values, b_w)
-
-
 def row_starts(counts):
     """Row pointers from per-row counts: row i's entries are [starts[i], starts[i + 1])."""
     starts = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -189,7 +175,7 @@ class CrossbarStore(_FcStore):
     def write_weight(self, pre_id, post_id, value):
         check_id("pre_id", pre_id, self.n_pre)
         check_id("post_id", post_id, self.n_post)
-        self.weights[pre_id, post_id] = quantize_for_store(value, self.b_w)
+        self.weights[pre_id, post_id] = quantize_weights(value, self.b_w)
         self.mask[pre_id, post_id] = True
         t = AccessTrace()
         t.write(self.weight_bank)
@@ -270,7 +256,7 @@ class CsrStore(_FcStore):
         check_id("post_id", post_id, self.n_post)
         t = AccessTrace()
         slot = self._locate(pre_id, post_id, t)
-        self.weights[slot] = quantize_for_store(value, self.b_w)
+        self.weights[slot] = quantize_weights(value, self.b_w)
         t.write(self.weight_bank)
         return t
 
@@ -361,7 +347,7 @@ class BitmapStore(_FcStore):
         if not (int(self.bitmap[pre_id, word]) >> bit) & 1:
             raise KeyError(f"synapse ({pre_id}, {post_id}) not present")
         slot = int(self.row_ptr[pre_id] + self._rank(pre_id, post_id))
-        self.weights[slot] = quantize_for_store(value, self.b_w)
+        self.weights[slot] = quantize_weights(value, self.b_w)
         t.write(self.weight_bank)
         return t
 
@@ -376,13 +362,13 @@ class BitmapStore(_FcStore):
 
 
 def build_crossbar(m: SynapseMatrix, b_w):
-    weights = np.where(m.mask, quantize_for_store(m.weights, b_w), 0.0)
+    weights = np.where(m.mask, quantize_weights(m.weights, b_w), 0.0)
     return CrossbarStore(weights, m.mask.copy(), b_w)
 
 
 def build_csr(m: SynapseMatrix, b_w):
     rows, cols = np.nonzero(m.mask)      # row-major: cols ascending per row
-    weights = quantize_for_store(m.weights[rows, cols], b_w)
+    weights = quantize_weights(m.weights[rows, cols], b_w)
     return CsrStore(row_starts(m.mask.sum(axis=1)), cols.astype(np.int64), weights,
                     m.n_post, b_w)
 
@@ -395,6 +381,6 @@ def build_bitmap(m: SynapseMatrix, b_w, w_word=32):
     bitmap = np.left_shift(bits.reshape(m.n_pre, words, w_word),
                            np.arange(w_word, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
     rows, cols = np.nonzero(m.mask)
-    weights = quantize_for_store(m.weights[rows, cols], b_w)
+    weights = quantize_weights(m.weights[rows, cols], b_w)
     return BitmapStore(row_starts(m.mask.sum(axis=1))[:-1], bitmap, weights, m.n_post,
                        b_w, w_word)

@@ -2,8 +2,8 @@
 
 The dense matrix a functional store encodes, the masked rows and columns of
 a dense SynapseMatrix as (id, weight) pairs, neuron ids of a conv layer from
-their coordinates, and a trace's reads and writes summed by bank kind. No
-library path needs them; the tests compare the stores against them.
+their coordinates and back, and a trace's reads and writes summed by bank
+kind. No library path needs them; the tests compare the stores against them.
 """
 
 import numpy as np
@@ -50,6 +50,20 @@ def pre_index(g, r, c, ic):
 def post_index(g, r, c, oc):
     """Post id of output row r, column c, channel oc of ConvGeometry g."""
     return (r * g.in_w + c) * g.c_out + oc
+
+
+def pre_coords(g, pre_id):
+    """(row, column, channel) of input neuron pre_id of ConvGeometry g."""
+    rc, ic = divmod(pre_id, g.c_in)
+    r, c = divmod(rc, g.in_w)
+    return r, c, ic
+
+
+def post_coords(g, post_id):
+    """(row, column, channel) of output neuron post_id of ConvGeometry g."""
+    rc, oc = divmod(post_id, g.c_out)
+    r, c = divmod(rc, g.in_w)
+    return r, c, oc
 
 
 def indirection_reads(t):

@@ -8,12 +8,13 @@ import pytest
 from synmem.conv import (ConvGeometry, _valid_1d, build_functional, connection_count,
                          conv_forward_addresses, conv_reverse_addresses,
                          csr_from_conv, functional_pass_traces)
+from synmem.quant import sigma
 from synmem.rng import CounterRng
 from synmem.stores import build_csr, fc_pass_traces
 from synmem.trace import AccessTrace
 
-from reference_stores import (materialize, post_index, pre_index, weight_reads,
-                              weight_writes)
+from reference_stores import (materialize, post_coords, post_index, pre_coords,
+                              pre_index, weight_reads, weight_writes)
 
 
 def random_kernel(g, seed):
@@ -47,9 +48,9 @@ class TestGeometry:
     def test_index_round_trip(self):
         g = ConvGeometry(5, 7, 3, 3, 2, 3)
         for pre_id in range(g.n_pre):
-            assert pre_index(g, *g.pre_coords(pre_id)) == pre_id
+            assert pre_index(g, *pre_coords(g, pre_id)) == pre_id
         for post_id in range(g.n_post):
-            assert post_index(g, *g.post_coords(post_id)) == post_id
+            assert post_index(g, *post_coords(g, post_id)) == post_id
 
 
 class TestAddresses:
@@ -58,7 +59,7 @@ class TestAddresses:
         posts, ks, logic = conv_forward_addresses(g, pre_index(g, 0, 0, 0))
         assert logic == 9
         assert posts.dtype == ks.dtype == np.int64
-        assert {g.post_coords(p)[:2] for p in posts.tolist()} == \
+        assert {post_coords(g, p)[:2] for p in posts.tolist()} == \
             {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert ks.tolist() == [4, 5, 7, 8]
 
@@ -236,6 +237,35 @@ class TestFunctionalStore:
         s = build_functional(g, random_kernel(g, 5), 8)
         with pytest.raises(KeyError):
             s.write_weight(pre_index(g, 0, 0, 0), post_index(g, 4, 4, 0), 0.1)
+
+    @pytest.mark.parametrize("b_w", [1, 8])
+    @pytest.mark.parametrize("dims", LOOKUP_GEOMETRIES, ids=LOOKUP_IDS)
+    def test_writes_follow_the_lookup_rule(self, dims, b_w):
+        # every (pre, post) pair: a write is refused exactly when the pair's
+        # coordinate offset lies outside the kernel; otherwise both lookups
+        # then report the written value clipped and rounded to the b_w grid
+        g = ConvGeometry(*dims)
+        s = build_functional(g, random_kernel(g, 9), b_w)
+        values = CounterRng(10).uniform_range(-1.5, 1.5, (g.n_pre, g.n_post))
+        step = sigma(b_w)
+        for pre in range(g.n_pre):
+            pr, pc, _ = pre_coords(g, pre)
+            for post in range(g.n_post):
+                qr, qc, _ = post_coords(g, post)
+                v = float(values[pre, post])
+                if abs(qr - pr) > g.k_h // 2 or abs(qc - pc) > g.k_w // 2:
+                    before = s.kernel.tobytes()
+                    with pytest.raises(KeyError) as err:
+                        s.write_weight(pre, post, v)
+                    assert err.value.args[0] == \
+                        f"synapse ({pre}, {post}) not a kernel offset"
+                    assert s.kernel.tobytes() == before
+                    continue
+                t = s.write_weight(pre, post, v)
+                assert weight_writes(t) == 1 and t.logic_evals == 1
+                want = np.sign(v) * np.floor(min(abs(v), 1.0 - step) / step + 0.5) * step
+                assert dict(s.forward_lookup(pre)[0])[post] == want
+                assert dict(s.reverse_lookup(post)[0])[pre] == want
 
 
 class TestPassTraces:

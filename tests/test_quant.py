@@ -22,6 +22,7 @@ class TestSigmaAndRange:
         assert weight_range(2) == (-0.5, 0.5)
         assert weight_range(8) == (-0.9921875, 0.9921875)
         assert weight_range(6) == (-0.96875, 0.96875)
+        assert weight_range(1) == (0.0, 0.0)
 
     def test_weight_range_symmetric(self):
         for b in range(2, 12):
@@ -70,6 +71,13 @@ class TestQuantizeWeights:
             assert np.array_equal(once, quantize_weights(once, b_w))
             lo, hi = weight_range(b_w)
             assert once.min() >= lo and once.max() <= hi
+
+    def test_one_bit_grid_is_positive_zero(self):
+        x = np.array([-5.0, -1.0, -0.7, -1e-300, -0.0, 0.0, 0.3, 1.0, 5.0])
+        q = quantize_weights(x, 1)
+        assert q.tobytes() == np.zeros_like(x).tobytes()
+        assert not np.signbit(q).any()
+        assert not np.signbit(quantize_weights(-0.0, 1))
 
     def test_ties_round_away_from_zero(self):
         assert quantize_weights(0.25, 2) == 0.5

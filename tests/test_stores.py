@@ -1,6 +1,7 @@
 """Store construction, lookups against the dense oracle, trace contracts,
 storage closed forms and the binary container."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -322,11 +323,18 @@ class TestStorageBits:
         assert sum(cb.storage_bits().values()) == n_pre * n_post * b_w
 
     def test_one_bit_stores_hold_zero_words(self):
-        # the signed grid at one bit has an empty feasible range
+        # the signed grid at one bit is the single point 0
         m = random_synapse_matrix(6, 10, 0.5, CounterRng(20))
-        for build in ALL_BUILDERS:
+        # sha256 of each container in ALL_BUILDERS order, recorded when 1-bit
+        # stores had a quantizer of their own
+        containers = [
+            "5ed07c9d39fd673af187159f42b507e03f22b454392b1b52dc5ef481ed904b50",
+            "03f4eae74fac3bc865d9631b3e670caa49e43e61db25fa95b17375f10ab388a9",
+            "b4df4e2205a2b354cc57cf7f8f0608a8164a3088e0c7be546c37208577da8b4e"]
+        for build, sha256 in zip(ALL_BUILDERS, containers, strict=True):
             s = build(m, 1)
             assert np.count_nonzero(s.to_dense()) == 0
+            assert hashlib.sha256(to_bytes(s)).hexdigest() == sha256
         assert sum(build_crossbar(m, 1).storage_bits().values()) == 60
 
     def test_density_monotonicity(self):

@@ -1,11 +1,13 @@
-"""Every name the package exports has a caller.
+"""Every name the package exports, every top-level function and every
+method of src/synmem has a caller.
 
 A name counts as called where it appears as a Name or Attribute node in a
 module of src/synmem other than the package's `__init__`, outside the body
 of its own def or class, or anywhere in bench/*.py. bench/tracer.py names
 what it wraps as "module:function" or "module:Class.method" strings in its
 layer tables, so those names count too. Nodes are counted, not text: a
-docstring that mentions a name does not call it.
+docstring that mentions a name does not call it. Dunder methods are called
+by the language, so they are not checked.
 """
 
 import ast
@@ -62,11 +64,39 @@ def traced_names():
     return {name for t in targets for name in t.split(":")[1].split(".")}
 
 
-def test_every_export_has_a_caller():
+def defined_names():
+    """(module:qualified name, name) of each top-level function and each
+    non-dunder method in src/synmem."""
+    defs = []
+    for path in _modules(SRC):
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}:{node.name}.{m.name}", m.name) for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((f"{module}:{node.name}", node.name))
+    return defs
+
+
+def called_names():
     used = traced_names()
     for path in _modules(SRC):
         if os.path.basename(path) != "__init__.py":
             used |= used_names(_parse(path))
     for path in _modules(BENCH):
         used |= used_names(_parse(path))
+    return used
+
+
+def test_every_export_has_a_caller():
+    used = called_names()
     assert [name for name in exported_names() if name not in used] == []
+
+
+def test_every_function_and_method_has_a_caller():
+    used = called_names()
+    defs = defined_names()
+    assert len(defs) > 100       # the walk found the package's functions
+    assert [where for where, name in defs if name not in used] == []

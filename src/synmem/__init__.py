@@ -15,7 +15,7 @@ from .trace import AccessTrace, MemBank
 from .energy import (CostModel, DEFAULT_MODEL, CalibrationError,
                      EnergyOverflowError, FcLayer, ConvLayer, calibrate_defaults,
                      layer_sweep, load_cost_model, pass_energy,
-                     sweep_density_leakage)
+                     sweep_density_leakage, training_energy)
 from .quant import (QuantConfig, eta, quantize_error, quantize_weights, sigma,
                     stochastic_round, weight_range)
 from .rng import CounterRng, derive_seed

@@ -38,8 +38,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .conv import ConvGeometry
-from .energy import (ConvLayer, EnergyOverflowError, FcLayer, layer_sweep,
-                     load_cost_model, sweep_density_leakage)
+from .energy import (ConvLayer, EnergyOverflowError, FcLayer, finite_energy,
+                     layer_sweep, load_cost_model, sweep_density_leakage,
+                     training_energy)
 from .quant import QuantConfig
 from .snn import NetworkConfig, train_cells
 from .stores import FC_SCHEMES
@@ -287,10 +288,30 @@ def _check_out(out_dir):
         raise ConfigError(f"--out {out_dir}: {path} is not a directory")
 
 
+def _stale_outputs(out_dir, command, outputs):
+    """Files that the manifest already in `out_dir` lists for this same command
+    and that `outputs` does not hold: plain file names only, none at all when
+    the manifest does not parse. Other commands' files are kept."""
+    try:
+        with open(os.path.join(out_dir, "run_manifest.json")) as fh:
+            previous = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    if not (isinstance(previous, dict) and previous.get("command") == command
+            and isinstance(previous.get("outputs"), dict)):
+        return []
+    return [name for name in previous["outputs"]
+            if name not in outputs and os.path.basename(name) == name
+            and os.path.isfile(os.path.join(out_dir, name))]
+
+
 def _write_outputs(out_dir, command, cfg, seed, outputs):
-    """Create `out_dir` and write each {file name: (schema, rows)} CSV and the
-    manifest listing them."""
+    """Create `out_dir`, remove the files a previous run of this command left
+    there that this run does not write, and write each {file name: (schema,
+    rows)} CSV and the manifest listing them."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in _stale_outputs(out_dir, command, outputs):
+        os.remove(os.path.join(out_dir, name))
     for name, (schema, rows) in outputs.items():
         write_csv(os.path.join(out_dir, name), schema, rows)
     digest = hashlib.sha256(
@@ -345,21 +366,24 @@ def cmd_train_frontier(cfg, model, seed):
         quants = [QuantConfig(b_w=b_w, fan_in=net.layer_sizes[0],
                               b_e=sec["b_e"], b_m=sec["b_m"])
                   for b_w in sec["bit_widths"]]
-    schemes = sec["schemes"]
     frontier = []
     outputs = {"frontier.csv": (FRONTIER_SCHEMA, frontier)}
     # one numeric run per bit width, all widths in one batch: spike dynamics
-    # do not depend on the encoding, only the energy accounting does
-    results = train_cells(net, schemes, quants, sec["epochs"], seed, model)
+    # do not depend on the encoding, only the pricing of their counts does
+    results = train_cells(net, quants, sec["epochs"], seed)
+    shapes = list(zip(net.layer_sizes, net.layer_sizes[1:]))
     for quant, result in zip(quants, results):
         b_w = quant.b_w
-        for scheme in schemes:
+        sparsity = result.sparsity
+        for scheme in sec["schemes"]:
+            pairs = training_energy(scheme, shapes, result.nnz, b_w, net.steps, model)
             frontier.append({
                 "scheme": scheme,
                 "b_w": b_w,
                 "vr_final": result.final_vr,
                 "vr_best": result.best_vr,
-                "energy_total_pJ": result.total_energy(scheme),
+                "energy_total_pJ": finite_energy(sum(f + b for f, b in pairs),
+                                                 "%s training energy", scheme),
                 "sparsity_mean": result.mean_sparsity,
                 "diverged": 0,      # kept so frontier_v1 keeps its columns
             })
@@ -370,8 +394,8 @@ def cmd_train_frontier(cfg, model, seed):
                     fwd = bwd = 0.0
                     sp = ""
                 else:
-                    fwd, bwd = result.energy[scheme][epoch - 1]
-                    sp = result.sparsity[epoch - 1]
+                    fwd, bwd = pairs[epoch - 1]
+                    sp = sparsity[epoch - 1]
                 curve_rows.append({"epoch": epoch, "vr_distance": vr,
                                    "fwd_pJ": fwd, "bwd_pJ": bwd, "sparsity": sp})
             outputs[curve_name] = (CURVE_SCHEMA, curve_rows)

@@ -150,6 +150,27 @@ def pass_pair(traces, model, scheme=""):
     return pass_energy(fwd, model, scheme), pass_energy(scan + update, model, scheme)
 
 
+def training_energy(scheme, shapes, nnz, b_w, steps, model=DEFAULT_MODEL):
+    """(fwd_pJ, bwd_pJ) of each epoch of a training run, from the layers'
+    (n_pre, n_post) shapes and each epoch's tuple of per-layer nonzero counts
+    `nnz`: per layer, `steps` forward and backward scans and one update pass
+    on stores re-encoded at that epoch's zeros. Each tuple is priced once."""
+    if scheme not in FC_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    priced = {}        # per-layer nnz -> (fwd_pJ, bwd_pJ)
+    for counts in nnz:
+        if counts not in priced:
+            fwd_pj = bwd_pj = 0.0
+            for (n_pre, n_post), n in zip(shapes, counts):
+                fwd_1, scan_1, upd_t = fc_pass_traces(scheme, n_pre, n_post, n, b_w)
+                fwd, bwd = pass_pair((fwd_1.scaled(steps), scan_1.scaled(steps), upd_t),
+                                     model, scheme)
+                fwd_pj += fwd.active_energy
+                bwd_pj += bwd.active_energy
+            priced[counts] = fwd_pj, bwd_pj
+    return [priced[counts] for counts in nnz]
+
+
 _REFERENCE_CONV = ConvGeometry(28, 28, 3, 3, 32, 32)
 
 

@@ -60,20 +60,18 @@ on one cell's own contiguous block, so each cell's bytes equal a run of
 that cell alone. `run_episode`, `bptt_gradients` and `van_rossum` are the
 one-cell views of the same code. A run is deterministic under its seed.
 
-An epoch's memory energy is a function of (scheme, b_w, per-layer nonzero
-count): each epoch counts every cell's nonzeros once per weight stack, the
-counts also give the sparsity, and each distinct key is priced once per run.
+Training records counts and does not price them: each epoch counts every
+cell's nonzero weights once per weight stack, the counts give the sparsity,
+and `energy.training_energy` prices them under any scheme and cost model.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DEFAULT_MODEL, finite_energy, pass_pair
 from .quant import (eta, quantize_error, quantize_membrane, quantize_weights,
                     sigma, stochastic_round_with, weight_range)
 from .rng import CounterRng, derive_seed
-from .stores import FC_SCHEMES, fc_pass_traces
 
 
 @dataclass(frozen=True)
@@ -410,8 +408,7 @@ class NetworkConfig:
 @dataclass
 class TrainResult:
     vr_curve: list                 # per-epoch distance, index 0 = pre-training
-    energy: dict                   # scheme -> list of (fwd_pJ, bwd_pJ) per epoch
-    sparsity: list                 # per-epoch fraction of exactly-zero weights
+    nnz: list                      # per-epoch tuple of each layer's nonzero count
     weights: list
 
     @property
@@ -423,27 +420,14 @@ class TrainResult:
         return min(self.vr_curve)
 
     @property
+    def sparsity(self):
+        """Per-epoch fraction of exactly-zero weights, built on each access."""
+        size = sum(w.size for w in self.weights)
+        return [(size - sum(n)) / size for n in self.nnz]
+
+    @property
     def mean_sparsity(self):
-        return float(np.mean(self.sparsity)) if self.sparsity else 0.0
-
-    def total_energy(self, scheme):
-        return finite_energy(sum(f + b for f, b in self.energy[scheme]),
-                             "%s training energy", scheme)
-
-
-def _epoch_energy(scheme, shapes, nnz, b_w, steps, cost_model):
-    """(fwd_pJ, bwd_pJ) of one epoch from each layer's (n_pre, n_post) shape
-    and nonzero count: `steps` forward and backward scans, one update pass.
-    Stores are re-encoded from the current zero pattern, so the sparsity the
-    run develops shows up in the sparse schemes' traffic and capacities."""
-    fwd_pj = bwd_pj = 0.0
-    for (n_pre, n_post), n in zip(shapes, nnz):
-        fwd_1, scan_1, upd_t = fc_pass_traces(scheme, n_pre, n_post, n, b_w)
-        fwd, bwd = pass_pair((fwd_1.scaled(steps), scan_1.scaled(steps), upd_t),
-                             cost_model, scheme)
-        fwd_pj += fwd.active_energy
-        bwd_pj += bwd.active_energy
-    return fwd_pj, bwd_pj
+        return float(np.mean(self.sparsity)) if self.nnz else 0.0
 
 
 def _descend(weights, grads, quants, etas, lr, vr, round_rng):
@@ -473,24 +457,16 @@ def _stack_bytes(weights):
     return [w.tobytes() for w in weights]
 
 
-def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
-    """Gradient-descent pattern retention with per-epoch energy accounting,
-    one cell per entry of `quants`, trained as one batch.
+def train_cells(cfg, quants, epochs, seed):
+    """Gradient-descent pattern retention recording each epoch's per-layer
+    nonzero counts, one cell per entry of `quants`, trained as one batch.
 
-    schemes: one of "CB", "PB-CSR", "PB-BMP", or a list of them (the spike
-    dynamics do not depend on the encoding, so one numeric run is accounted
-    under every scheme). quants: one QuantConfig per cell, or None for a
-    full-precision cell. Every cell trains on the same seed, so the cells
-    share their inputs, target and rounding draws, and each cell's
-    TrainResult equals a run of that cell alone. Returns one TrainResult
-    per cell, in the order of `quants`.
+    quants: one QuantConfig per cell, or None for a full-precision cell.
+    Every cell trains on the same seed, so the cells share their inputs,
+    target and rounding draws, and each cell's TrainResult equals a run of
+    that cell alone. Returns one TrainResult per cell, in the order of
+    `quants`; `energy.training_energy` prices its counts.
     """
-    schemes = [schemes] if isinstance(schemes, str) else list(schemes)
-    for s in schemes:
-        if s not in FC_SCHEMES:
-            raise ValueError(f"unknown scheme {s!r}")
-    if len(set(schemes)) < len(schemes):
-        raise ValueError(f"duplicate schemes in {schemes}")
     quants = list(quants)
     if not quants:
         raise ValueError("quants needs at least one cell")
@@ -521,12 +497,7 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
     round_rng = rng.spawn(99)
     b_ms = [q.b_m if q else None for q in quants]
 
-    shapes = [w.shape[1:] for w in weights]
-    size = sum(n_in * n_out for n_in, n_out in shapes)
-    b_ws = [q.b_w if q else 32 for q in quants]
-    priced = {}        # (scheme, b_w, per-layer nnz) -> (fwd_pJ, bwd_pJ)
-
-    results = [TrainResult([], {s: [] for s in schemes}, [], None) for _ in quants]
+    results = [TrainResult([], [], None) for _ in quants]
     histories = _episode(p_first, weights, etas, b_ms, params)
     vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
     for res, v in zip(results, vr):
@@ -544,23 +515,15 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
         histories = _episode(p_first, weights, etas, b_ms, params)
         vr, g_out = _loss(histories[-1].s_history, target_filtered, cfg.tau_vr)
         counts = zip(*(np.count_nonzero(w, axis=(1, 2)).tolist() for w in weights))
-        for res, v, b_w, nnz in zip(results, vr, b_ws, counts):
+        for res, v, nnz in zip(results, vr, counts):
             res.vr_curve.append(float(v))
-            res.sparsity.append((size - sum(nnz)) / size)
-            for scheme in schemes:
-                key = (scheme, b_w, nnz)
-                if key not in priced:
-                    priced[key] = _epoch_energy(scheme, shapes, nnz, b_w, cfg.steps,
-                                                cost_model)
-                res.energy[scheme].append(priced[key])
+            res.nnz.append(nnz)
         if before is not None and _stack_bytes(weights) == before:
             # a fixed point: every later epoch repeats this one exactly
             repeats = epochs - epoch - 1
             for res in results:
                 res.vr_curve.extend(res.vr_curve[-1:] * repeats)
-                res.sparsity.extend(res.sparsity[-1:] * repeats)
-                for pairs in res.energy.values():
-                    pairs.extend(pairs[-1:] * repeats)
+                res.nnz.extend(res.nnz[-1:] * repeats)
             break
 
     for c, res in enumerate(results):
@@ -568,11 +531,9 @@ def train_cells(cfg, schemes, quants, epochs, seed, cost_model=DEFAULT_MODEL):
     return results
 
 
-def train(cfg, scheme, quant, epochs, seed, cost_model=DEFAULT_MODEL):
-    """Gradient-descent pattern retention with per-epoch energy accounting:
-    the one-cell call of train_cells.
+def train(cfg, scheme, quant, epochs, seed, cost_model=None):
+    """The one-cell call of train_cells; quant=None trains in full precision.
 
-    scheme: one of "CB", "PB-CSR", "PB-BMP", or a list of them. quant=None
-    trains in full precision.
-    """
-    return train_cells(cfg, scheme, [quant], epochs, seed, cost_model)[0]
+    `scheme` and `cost_model` are unused, kept only for the positional call
+    in bench/workloads.py until ROADMAP item 1 edits it."""
+    return train_cells(cfg, [quant], epochs, seed)[0]

@@ -14,7 +14,7 @@ from synmem.cli import main as cli_main
 from synmem.conv import (ConvGeometry, build_functional, connection_count,
                          conv_forward_addresses, conv_reverse_addresses)
 from synmem.energy import ConvLayer, DEFAULT_MODEL, FcLayer, layer_sweep, \
-    sweep_density_leakage
+    sweep_density_leakage, training_energy
 from synmem.matrix import SynapseMatrix, random_synapse_matrix
 from synmem.quant import (QuantConfig, eta, quantize_weights, sigma,
                           stochastic_round, weight_range)
@@ -252,12 +252,17 @@ def test_c10_precision_sparsity_direction():
     cfg = NetworkConfig()
     widths = (2, 5, 6)
     quants = [QuantConfig(b_w=b_w, fan_in=cfg.layer_sizes[0]) for b_w in widths]
-    cells = dict(zip(widths, train_cells(cfg, ["CB", "PB-BMP"], quants, 2000, seed=42)))
+    cells = dict(zip(widths, train_cells(cfg, quants, 2000, seed=42)))
     sp2 = cells[2].mean_sparsity
     sp6 = cells[6].mean_sparsity
     assert sp2 > sp6
-    ratio2 = cells[2].total_energy("PB-BMP") / cells[2].total_energy("CB")
-    ratio5 = cells[5].total_energy("PB-BMP") / cells[5].total_energy("CB")
+    shapes = list(zip(cfg.layer_sizes, cfg.layer_sizes[1:]))
+
+    def total(scheme, b_w):
+        return sum(f + b for f, b in training_energy(scheme, shapes, cells[b_w].nnz,
+                                                     b_w, cfg.steps))
+    ratio2 = total("PB-BMP", 2) / total("CB", 2)
+    ratio5 = total("PB-BMP", 5) / total("CB", 5)
     assert ratio2 < ratio5
     elapsed = time.time() - start
     report(10, "precision-sparsity direction",

@@ -11,8 +11,10 @@ import pytest
 
 from synmem.cli import (CONFIG_KEYS, CURVE_COLUMNS, ConfigError, DEFAULT_CONFIG,
                         SWEEP_COLUMNS, build_parser, load_config, main)
-from synmem.energy import load_cost_model, pass_energy
-from synmem.snn import TrainResult, train_cells
+from synmem.energy import (DEFAULT_ANCHORS, calibrate_defaults, load_cost_model,
+                           pass_energy, training_energy)
+from synmem.quant import QuantConfig
+from synmem.snn import NetworkConfig, TrainResult, train_cells
 from synmem.stores import FC_SCHEMES, fc_pass_traces
 
 
@@ -311,10 +313,9 @@ class TestConfigTable:
                                                              monkeypatch):
         ran = []
 
-        def fake_train_cells(net, schemes, quants, epochs, seed, model):
+        def fake_train_cells(net, quants, epochs, seed):
             ran.append((list(net.layer_sizes), net.steps, epochs))
-            return [TrainResult([1.0], {s: [] for s in schemes}, [], [])
-                    for _ in quants]
+            return [TrainResult([1.0], [], []) for _ in quants]
         monkeypatch.setattr("synmem.cli.train_cells", fake_train_cells)
         cfg = write_cfg(tmp_path, {})
         digests = {}
@@ -455,6 +456,36 @@ class TestTrainFrontierEnergy:
                     "--seed", 3]) == 0
         self.check(tmp_path, section, layer_nnz)
         assert len(nnz_seen) > len(section["bit_widths"])     # some nnz moved
+
+    @pytest.mark.parametrize("constants", [
+        {"round_pow2": False}, calibrate_defaults(DEFAULT_ANCHORS)],
+        ids=["no-pow2", "calibrated"])
+    def test_repriced_counts_equal_a_priced_run(self, tmp_path, constants):
+        # the counts do not depend on the cost model: one run's counts, priced
+        # under another model, give every figure a run under that model writes
+        section = {"layer_sizes": [60, 20, 10], "steps": 40, "epochs": 8,
+                   "bit_widths": [2, 3], "schemes": list(FC_SCHEMES)}
+        sizes = section["layer_sizes"]
+        quants = [QuantConfig(b_w=b_w, fan_in=sizes[0]) for b_w in section["bit_widths"]]
+        cells = train_cells(NetworkConfig(layer_sizes=sizes, steps=section["steps"]),
+                            quants, section["epochs"], seed=3)
+        assert all(len(set(c.nnz)) > 1 for c in cells)      # the counts moved
+        cfg = write_cfg(tmp_path, {"cost_model": constants, "train_frontier": section})
+        assert run(["train-frontier", "--config", cfg, "--out", tmp_path / "out",
+                    "--seed", 3]) == 0
+        model = load_cost_model(constants)
+        frontier = {(r["scheme"], int(r["b_w"])): r
+                    for r in read_rows(tmp_path / "out" / "frontier.csv")}
+        for quant, cell in zip(quants, cells):
+            for scheme in section["schemes"]:
+                pairs = training_energy(scheme, list(zip(sizes, sizes[1:])), cell.nnz,
+                                        quant.b_w, section["steps"], model)
+                curve = read_rows(tmp_path / "out" /
+                                  f"curve_{scheme.replace('-', '_')}_{quant.b_w}b.csv")
+                assert [(r["fwd_pJ"], r["bwd_pJ"]) for r in curve[1:]] == \
+                    [(repr(f), repr(b)) for f, b in pairs]
+                assert frontier[(scheme, quant.b_w)]["energy_total_pJ"] == \
+                    repr(sum(f + b for f, b in pairs))
 
 
 class TestDeterminism:
@@ -625,6 +656,52 @@ def test_out_holds_exactly_the_manifest_outputs(tmp_path, command, section):
     assert run([command, "--config", cfg, "--out", out]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert sorted(os.listdir(out)) == sorted([*manifest["outputs"], "run_manifest.json"])
+
+
+class TestRerunIntoAUsedOut:
+    """A rerun removes the files its command's previous manifest lists and
+    it no longer writes, and nothing else."""
+
+    def test_fewer_bit_widths_leave_no_stale_curve(self, tmp_path):
+        out = tmp_path / "out"
+        for widths in ([2, 4], [2]):
+            section = {**SMALL_TRAIN["train_frontier"], "bit_widths": widths}
+            cfg = write_cfg(tmp_path, {"train_frontier": section})
+            assert run(["train-frontier", "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted([*manifest["outputs"],
+                                                  "run_manifest.json"])
+        assert not (out / "curve_CB_4b.csv").exists()
+
+    def test_other_commands_files_are_kept(self, tmp_path):
+        out = tmp_path / "out"
+        for command, section in COMMAND_SECTIONS:
+            cfg = write_cfg(tmp_path, section)
+            assert run([command, "--config", cfg, "--out", out]) == 0
+        names = set(os.listdir(out))
+        assert {"fc_sweep.csv", "conv_sweep.csv", "density_leak_grid.csv",
+                "frontier.csv"} <= names
+        cfg = write_cfg(tmp_path, SMALL_TRAIN)
+        assert run(["train-frontier", "--config", cfg, "--out", out]) == 0
+        assert set(os.listdir(out)) == names
+
+    @pytest.mark.parametrize("manifest", [
+        {"command": "fc-sweep", "outputs": {"../x": "sweep_v1",
+                                            "sub/x": "sweep_v1"}},
+        '{"command": "fc-sweep", "outputs": {"x": "sweep_v1"}'],
+        ids=["path-names", "cut-short"])
+    def test_only_plain_names_of_a_parsed_manifest_are_removed(self, tmp_path,
+                                                                manifest):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        for path in (tmp_path / "x", out / "sub" / "x", out / "x"):
+            path.write_text("kept")
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        (out / "run_manifest.json").write_text(text)
+        assert run(["fc-sweep", "--config", write_cfg(tmp_path, SMALL_FC),
+                    "--out", out]) == 0
+        for path in (tmp_path / "x", out / "sub" / "x", out / "x"):
+            assert path.read_text() == "kept"
 
 
 class TestSchemaValidation:

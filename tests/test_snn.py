@@ -13,7 +13,7 @@ from hypothesis import strategies as hst
 
 import reference_snn
 from synmem import snn
-from synmem.energy import DEFAULT_MODEL, pass_energy
+from synmem.energy import DEFAULT_MODEL, pass_energy, training_energy
 from synmem.matrix import SynapseMatrix
 from synmem.quant import QuantConfig, eta, quantize_weights
 from synmem.rng import CounterRng
@@ -466,13 +466,19 @@ class TestLayerMajorOracle:
         assert all(np.array_equal(a, b) for a, b in zip(got.weights, want_weights))
 
 
+def priced(res, scheme, b_w, steps):
+    """A TrainResult's per-epoch (fwd_pJ, bwd_pJ) under the default model."""
+    return training_energy(scheme, [w.shape for w in res.weights], res.nnz, b_w, steps)
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial_only(self):
         cfg = NetworkConfig(layer_sizes=(20, 10, 5), steps=20)
         res = train(cfg, "CB", None, 0, seed=1)
         assert len(res.vr_curve) == 1
-        assert res.energy["CB"] == []
-        assert res.total_energy("CB") == 0.0
+        energy = priced(res, "CB", 32, cfg.steps)
+        assert energy == []
+        assert sum(f + b for f, b in energy) == 0.0
 
     def test_deterministic_replay(self):
         cfg = NetworkConfig(layer_sizes=(20, 10, 5), steps=20)
@@ -485,7 +491,7 @@ class TestTrain:
 
     def test_energy_traces_cover_epochs(self):
         cfg = NetworkConfig(layer_sizes=(16, 8, 4), steps=10)
-        res = train(cfg, ["CB", "PB-BMP"], None, 3, seed=2)
+        res = train(cfg, "CB", None, 3, seed=2)
         # each epoch: steps fwd scans + steps bwd scans + one write pass per
         # layer; full-precision weights are never exactly zero, so a layer's
         # nnz is n_pre * n_post (16 * 8 for the first)
@@ -495,7 +501,7 @@ class TestTrain:
                 fwd, bwd, upd = fc_pass_traces(scheme, n_pre, n_post, n_pre * n_post, 32)
                 fwd_pj += pass_energy(fwd.scaled(10), DEFAULT_MODEL).active_energy
                 bwd_pj += pass_energy(bwd.scaled(10) + upd, DEFAULT_MODEL).active_energy
-            assert res.energy[scheme] == [(fwd_pj, bwd_pj)] * 3
+            assert priced(res, scheme, 32, 10) == [(fwd_pj, bwd_pj)] * 3
 
     def test_epoch_traces_compose_from_store_passes(self):
         # an epoch's energy must equal steps x (sum of per-pre lookups)
@@ -514,7 +520,7 @@ class TestTrain:
             bwd_pj += pass_energy(store.backward_scan_trace().scaled(7)
                                   + store.weight_update_trace(),
                                   DEFAULT_MODEL).active_energy
-        assert res.energy["PB-CSR"] == [(fwd_pj, bwd_pj)] * 2
+        assert priced(res, "PB-CSR", 32, 7) == [(fwd_pj, bwd_pj)] * 2
 
     def test_quantized_weights_stay_on_grid(self):
         cfg = NetworkConfig(layer_sizes=(12, 6, 3), steps=12)
@@ -532,42 +538,41 @@ class TestTrain:
         assert np.all(np.isfinite(res.vr_curve))
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            train(NetworkConfig(), "XYZ", None, 1, seed=0)
+        with pytest.raises(ValueError, match="XYZ"):
+            training_energy("XYZ", [(4, 2)], [(8,)], 4, 2)
 
     def test_cells_with_equal_counts_are_priced_at_their_own_width(self):
         # no weight of these 12- and 16-bit cells rounds to zero, so the two
         # cells share every nonzero count and only b_w tells their epochs apart
         cfg = NetworkConfig(layer_sizes=(6, 3), steps=4)
         quants = [QuantConfig(b_w=b_w, fan_in=6) for b_w in (12, 16)]
-        cells = train_cells(cfg, "CB", quants, 2, seed=1)
+        cells = train_cells(cfg, quants, 2, seed=1)
         assert all(c.sparsity == [0.0, 0.0] for c in cells)
-        assert cells[0].energy != cells[1].energy
-        for q, c in zip(quants, cells):
-            assert c.energy == train(cfg, "CB", q, 2, seed=1).energy
+        assert cells[0].nnz == cells[1].nnz
+        energy = [priced(c, "CB", q.b_w, 4) for q, c in zip(quants, cells)]
+        assert energy[0] != energy[1]
+        for q, e in zip(quants, energy):
+            assert e == priced(train(cfg, "CB", q, 2, seed=1), "CB", q.b_w, 4)
 
     def test_no_cells_rejected(self):
         with pytest.raises(ValueError, match="quants"):
-            train_cells(NetworkConfig(layer_sizes=(4, 2), steps=2), "CB", [], 1, seed=0)
+            train_cells(NetworkConfig(layer_sizes=(4, 2), steps=2), [], 1, seed=0)
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             train(NetworkConfig(layer_sizes=(4, 2), steps=2), "CB", None, -3, seed=0)
 
-    def test_duplicate_schemes_rejected(self):
-        # each scheme's energy would be appended twice per epoch
-        with pytest.raises(ValueError, match="duplicate"):
-            train(NetworkConfig(layer_sizes=(4, 2), steps=2), ["CB", "CB"], None, 1,
-                  seed=0)
 
-
-def assert_same_result(got, want):
-    """Every TrainResult field equal bit for bit (a NaN equals a NaN)."""
+def assert_same_result(got, want, b_w, steps):
+    """Every TrainResult field equal bit for bit (a NaN equals a NaN), and so
+    their prices under CB and PB-BMP at width b_w."""
     def bits(values):
         return np.asarray(values, dtype=np.float64).tobytes()
     assert bits(got.vr_curve) == bits(want.vr_curve)
     assert bits(got.sparsity) == bits(want.sparsity)
-    assert got.energy == want.energy
+    assert got.nnz == want.nnz
+    for scheme in ("CB", "PB-BMP"):
+        assert priced(got, scheme, b_w, steps) == priced(want, scheme, b_w, steps)
     assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
 
 
@@ -580,11 +585,11 @@ def check_cells_match_separate_runs(seed, epochs=190):
     cfg = NetworkConfig()
     quants = [QuantConfig(b_w=b, fan_in=cfg.layer_sizes[0]) if b else None
               for b in DESK_WIDTHS]
-    schemes = ["CB", "PB-BMP"]
-    cells = train_cells(cfg, schemes, quants, epochs, seed)
+    cells = train_cells(cfg, quants, epochs, seed)
     assert len(cells) == len(quants)
     for quant, got in zip(quants, cells):
-        assert_same_result(got, train(cfg, schemes, quant, epochs, seed))
+        assert_same_result(got, train(cfg, "CB", quant, epochs, seed),
+                           quant.b_w if quant else 32, cfg.steps)
     assert len({tuple(c.vr_curve) for c in cells}) == len(cells)
 
 
@@ -629,15 +634,15 @@ class TestFixedPoint:
         episode = snn._episode
         monkeypatch.setattr(snn, "_episode",
                             lambda *args: episodes.append(1) or episode(*args))
-        got = train_cells(cfg, ["CB", "PB-BMP"], self.CELLS, epochs, seed=3)
+        got = train_cells(cfg, self.CELLS, epochs, seed=3)
         assert (len(episodes) < epochs + 1) == stops
         # no two snapshots compare equal, so every epoch runs
         fresh = itertools.count()
         monkeypatch.setattr(snn, "_stack_bytes", lambda weights: next(fresh))
-        want = train_cells(cfg, ["CB", "PB-BMP"], self.CELLS, epochs, seed=3)
-        for g, w in zip(got, want):
+        want = train_cells(cfg, self.CELLS, epochs, seed=3)
+        for q, g, w in zip(self.CELLS, got, want):
             assert len(g.vr_curve) == epochs + 1
-            assert_same_result(g, w)
+            assert_same_result(g, w, q.b_w if q else 32, cfg.steps)
         if lr:
             assert all(len(set(g.vr_curve)) > 1 for g in got)    # the cells learned
 

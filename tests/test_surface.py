@@ -8,6 +8,9 @@ what it wraps as "module:function" or "module:Class.method" strings in its
 layer tables, so those names count too. Nodes are counted, not text: a
 docstring that mentions a name does not call it. Dunder methods are called
 by the language, so they are not checked.
+
+It also holds one layering rule: snn imports no synmem module but quant
+and rng, so training records counts and energy alone prices them.
 """
 
 import ast
@@ -100,3 +103,16 @@ def test_every_function_and_method_has_a_caller():
     defs = defined_names()
     assert len(defs) > 100       # the walk found the package's functions
     assert [where for where, name in defs if name not in used] == []
+
+
+def test_snn_imports_only_quant_and_rng():
+    imported = set()
+    for node in ast.walk(_parse(os.path.join(SRC, "snn.py"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("synmem"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("synmem")}
+    assert imported == {"quant", "rng"}

@@ -19,10 +19,11 @@ versions; no timestamps or absolute paths, so reruns are byte-identical.
 
 Exit codes: 0 ok, 2 config error. A cost model whose constants are each
 valid but together overflow an energy figure (EnergyOverflowError) is a
-config error too, as is an --out that names a file or lies under one
-(refused before the command runs). Any other exception raised while a
-command computes is a bug and propagates. --out is created only once
-every row is computed.
+config error too, as are a config or cost-model file that is not UTF-8
+JSON and an --out that is empty, names a file or lies under one (refused
+before the command runs). Any other exception raised while a command
+computes is a bug and propagates. --out is created only once every row is
+computed.
 """
 
 import argparse
@@ -158,9 +159,9 @@ def write_csv(path, schema, rows):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:     # JSON is UTF-8 (RFC 8259)
             user = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
@@ -280,7 +281,10 @@ def _grid_axis(axis):
 
 
 def _check_out(out_dir):
-    """Refuse an output directory that names a file or lies under one."""
+    """Refuse an empty output directory name, or one that names a file or lies
+    under one."""
+    if not out_dir:
+        raise ConfigError("--out must name a directory, got ''")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)

@@ -201,15 +201,6 @@ class FunctionalStore:
         t.write(self.weight_bank)
         return t
 
-    def forward_pass_trace(self):
-        return functional_pass_traces(self.geometry, self.b_w)[0]
-
-    def backward_scan_trace(self):
-        return functional_pass_traces(self.geometry, self.b_w)[1]
-
-    def weight_update_trace(self):
-        return functional_pass_traces(self.geometry, self.b_w)[2]
-
 
 def build_functional(g, kernel, b_w):
     kernel = np.asarray(kernel, dtype=np.float64)

@@ -100,7 +100,7 @@ FACTORY_CONSTANTS = DEFAULT_MODEL.constants()
 def load_cost_model(source):
     """Cost model from a dict or a JSON file of constant overrides."""
     if isinstance(source, (str, bytes)):
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             source = json.load(fh)
     if not isinstance(source, dict):
         raise ValueError(
@@ -186,18 +186,16 @@ class ConvLayer:
     geometry: ConvGeometry = _REFERENCE_CONV
 
 
-def _fc_traces(n_pre, n_post, nnz, b_w, w_word, schemes=FC_SCHEMES):
-    return {name: fc_pass_traces(name, n_pre, n_post, nnz, b_w, w_word)
-            for name in schemes}
-
-
-def _layer_traces(layer, b_w, w_word, include_crossbar):
+def _layer_traces(layer, b_w, w_word, include_crossbar=False):
+    """{scheme: (forward, backward_scan, update)} traces of a layer record."""
     if isinstance(layer, FcLayer):
         nnz = nnz_at_density(layer.n_pre, layer.n_post, layer.density)
-        return _fc_traces(layer.n_pre, layer.n_post, nnz, b_w, w_word)
-    g = layer.geometry
+        return {name: fc_pass_traces(name, layer.n_pre, layer.n_post, nnz, b_w, w_word)
+                for name in FC_SCHEMES}
+    g, nnz = layer.geometry, connection_count(layer.geometry)
     schemes = ("PB-CSR", "CB") if include_crossbar else ("PB-CSR",)
-    traces = _fc_traces(g.n_pre, g.n_post, connection_count(g), b_w, w_word, schemes)
+    traces = {name: fc_pass_traces(name, g.n_pre, g.n_post, nnz, b_w, w_word)
+              for name in schemes}
     traces["FUNC"] = functional_pass_traces(g, b_w)
     return traces
 
@@ -250,10 +248,9 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
         raise ValueError("grid needs at least 2 points per axis")
     if any(not 0.0 <= f < 1.0 for f in leak_fractions):
         raise ValueError("leak fractions must lie in [0, 1)")
-    counts = [nnz_at_density(n_pre, n_post, d) for d in densities]
     rows = []
-    for density, nnz in zip(densities, counts):
-        traces = _fc_traces(n_pre, n_post, nnz, b_w, w_word)
+    for density in densities:
+        traces = _layer_traces(FcLayer(n_pre, n_post, density), b_w, w_word)
         active = {}
         leak_rate = {}
         for name, triple in traces.items():
@@ -269,8 +266,7 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
                 sum(active[name]) + leak_rate[name] * t_wall,
                 "%s total at density %r, leak fraction %r", name, density, frac)
                 for name in traces}
-            winner = min(sorted(totals), key=totals.get)
-            best = totals[winner]
+            best = min(totals.values())
             oom = math.floor(math.log10(best)) if best > 0 else ""
             for name in sorted(traces):
                 rows.append({
@@ -282,7 +278,7 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
                     "backward_pJ": active[name][1],
                     "leak_pJ": leak_rate[name] * t_wall,
                     "total_pJ": totals[name],
-                    "winner": int(name == winner),
+                    "winner": int(totals[name] == best),
                     "winner_oom": oom,
                 })
     return rows
@@ -295,36 +291,34 @@ DEFAULT_ANCHORS = {"conv_forward_ratio": 1.03, "conv_backward_ratio": 0.42}
 def calibrate_defaults(anchors=None):
     """Solve e_logic and b_write so the reference conv layer hits the anchors.
 
-    anchors: {"conv_forward_ratio": x, "conv_backward_ratio": y}. An empty or
-    missing anchor set returns the factory constants unchanged. Active energy
-    is affine in e_logic and in b_write, so the anchors are two linear
-    equations in `pass_pair` energies of the layer. PB-CSR's forward pass
-    evaluates no logic, so the forward anchor fixes e_logic alone; with it,
-    FUNC's and PB-CSR's backward energies at b_write 0 and 1 fix b_write.
+    anchors: {"conv_forward_ratio": x, "conv_backward_ratio": y}; an anchor
+    not given (every anchor, when `anchors` is None or empty) takes its
+    DEFAULT_ANCHORS value, whose solution is FACTORY_CONSTANTS. The anchors are solved on the rows that
+    conv-sweep writes: `layer_sweep` of the reference layer at b_w 8. Active
+    energy is affine in e_logic and in b_write, so the anchors are two linear
+    equations in those rows. PB-CSR's forward pass evaluates no logic, so the
+    forward anchor fixes e_logic alone; with it, FUNC's and PB-CSR's backward
+    energies at b_write 0 and 1 fix b_write.
     Raises CalibrationError when the anchors admit no positive constants or
     fail the qualitative orderings.
     """
-    if not anchors:
-        return dict(FACTORY_CONSTANTS)
+    anchors = {**DEFAULT_ANCHORS, **(anchors or {})}
     unknown = set(anchors) - set(DEFAULT_ANCHORS)
     if unknown:
         raise CalibrationError(f"unknown anchors: {sorted(unknown)}")
-    rho_f = anchors.get("conv_forward_ratio", DEFAULT_ANCHORS["conv_forward_ratio"])
-    rho_b = anchors.get("conv_backward_ratio", DEFAULT_ANCHORS["conv_backward_ratio"])
+    rho_f, rho_b = anchors["conv_forward_ratio"], anchors["conv_backward_ratio"]
     if rho_f <= 0 or rho_b <= 0:
         raise CalibrationError("anchor ratios must be positive")
 
-    traces = _layer_traces(ConvLayer(), _REFERENCE_BW, w_word=32, include_crossbar=False)
-
     def priced(e_logic, b_write):
-        """{scheme: (forward_pJ, backward_pJ)} of the layer at these constants."""
-        model = CostModel(e_logic=e_logic, b_write=b_write)
-        return {name: tuple(r.active_energy for r in pass_pair(t, model, name))
-                for name, t in traces.items()}
+        """{scheme: (forward_pJ, backward_pJ)} of conv-sweep's rows at these constants."""
+        rows = layer_sweep(ConvLayer(), [_REFERENCE_BW],
+                           CostModel(e_logic=e_logic, b_write=b_write))
+        return {r["scheme"]: (r["forward_pJ"], r["backward_pJ"]) for r in rows}
 
     base = priced(0.0, 0.0)
-    e_logic = ((rho_f * base["PB-CSR"][0] - base["FUNC"][0])
-               / traces["FUNC"][0].logic_evals)
+    logic_evals = functional_pass_traces(_REFERENCE_CONV, _REFERENCE_BW)[0].logic_evals
+    e_logic = (rho_f * base["PB-CSR"][0] - base["FUNC"][0]) / logic_evals
     if e_logic <= 0:
         raise CalibrationError(
             f"forward anchor {rho_f} needs nonpositive logic energy")

@@ -83,9 +83,10 @@ class QuantConfig:
     """Bit widths for one training setup.
 
     b_w: stored weight words; b_e: backpropagated error; b_m: membrane
-    history kept for the reverse pass. fan_in is read only by the `eta`
-    property: training scales each layer by its own fan-in,
-    eta(b_w, n_in), whatever fan_in holds.
+    history kept for the reverse pass. Training scales each layer by its own
+    fan-in, eta(b_w, n_in), so `fan_in` is unused; it is kept, and checked,
+    only for the keyword call in bench/workloads.py until ROADMAP item 1
+    edits it.
     """
 
     b_w: int
@@ -99,7 +100,3 @@ class QuantConfig:
                 raise ValueError(f"{field} must be in [2, 64], got {getattr(self, field)}")
         if self.fan_in < 1:
             raise ValueError(f"fan_in must be >= 1, got {self.fan_in}")
-
-    @property
-    def eta(self):
-        return eta(self.b_w, self.fan_in)

@@ -110,19 +110,15 @@ def surrogate_derivative(u, params):
     return 1.0 / (params.beta_s * np.abs(u - params.theta) + 1.0) ** 2
 
 
-def soft_spike(u, params):
-    """Differentiable stand-in for the step, with d/du == surrogate_derivative.
-
-    f(x) = x / (1 + beta_s |x|) shifted by +0.5 so activity propagates;
-    used only by gradient checks ("soft mode").
-    """
+def _spike(u, params, soft):
+    """Spikes of membrane u: the step u >= theta, or in soft mode (used only
+    by gradient checks) a differentiable stand-in whose d/du is
+    surrogate_derivative: f(x) = x / (1 + beta_s |x|) at x = u - theta,
+    shifted by +0.5 so activity propagates."""
+    if not soft:
+        return (u >= params.theta).astype(np.float64)
     x = u - params.theta
     return x / (1.0 + params.beta_s * np.abs(x)) + 0.5
-
-
-def _spike(u, params, soft):
-    """Spikes of membrane u: soft_spike in soft mode, else the step u >= theta."""
-    return soft_spike(u, params) if soft else (u >= params.theta).astype(np.float64)
 
 
 def lif_step(p, q, r, in_spikes, w, params, layer_eta=1.0, soft=False):

@@ -6,13 +6,15 @@ draws a seeded random kernel and builds FUNC, PB-CSR (`csr_from_conv`) and,
 when asked, CB from the materialized convolution. This is what
 `energy.layer_sweep` and `energy.sweep_density_leakage` must reproduce, row
 for row and float for float, from the layer's counts alone and for any
-seed. (The stores' own pass traces are checked against their summed
-per-neuron lookups in test_stores and test_conv.)
+seed. A FUNC store's pass traces are its closed form,
+`functional_pass_traces`. (The FC stores' own pass traces and that closed
+form are checked against summed per-neuron lookups in test_stores and
+test_conv.)
 """
 
 import math
 
-from synmem.conv import build_functional, csr_from_conv
+from synmem.conv import build_functional, csr_from_conv, functional_pass_traces
 from synmem.energy import DEFAULT_MODEL, ConvLayer, pass_energy, pass_pair
 from synmem.matrix import random_synapse_matrix
 from synmem.rng import CounterRng
@@ -52,8 +54,10 @@ def layer_sweep(layer, bit_widths, model=DEFAULT_MODEL, seed=0, w_word=32,
         group = []
         for name in sorted(stores):
             s = stores[name]
-            fwd, bwd = pass_pair((s.forward_pass_trace(), s.backward_scan_trace(),
-                                  s.weight_update_trace()), model, name)
+            traces = (functional_pass_traces(s.geometry, s.b_w) if name == "FUNC" else
+                      (s.forward_pass_trace(), s.backward_scan_trace(),
+                       s.weight_update_trace()))
+            fwd, bwd = pass_pair(traces, model, name)
             group.append({
                 "scheme": name,
                 "b_w": b_w,
@@ -90,8 +94,7 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
             t_wall = frac / (1.0 - frac) * ref_active / ref_rate
             totals = {name: sum(active[name]) + leak_rate[name] * t_wall
                       for name in stores}
-            winner = min(sorted(totals), key=totals.get)
-            best = totals[winner]
+            best = min(totals.values())
             oom = math.floor(math.log10(best)) if best > 0 else ""
             for name in sorted(stores):
                 rows.append({
@@ -103,7 +106,7 @@ def sweep_density_leakage(densities, leak_fractions, model=DEFAULT_MODEL,
                     "backward_pJ": active[name][1],
                     "leak_pJ": leak_rate[name] * t_wall,
                     "total_pJ": totals[name],
-                    "winner": int(name == winner),
+                    "winner": int(totals[name] == best),
                     "winner_oom": oom,
                 })
     return rows

@@ -145,6 +145,28 @@ class TestConfig:
         assert "config error: cost_model:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["config", "cost_model"])
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, which):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")      # a UTF-16 byte-order mark, then {}
+        cfg = str(bad) if which == "config" else write_cfg(
+            tmp_path, {**SMALL_FC, "cost_model": str(bad)})
+        out = tmp_path / "out"
+        assert run(["fc-sweep", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert str(bad) in err
+        assert not out.exists()
+
+    def test_readme_default_config_is_the_code_default(self):
+        # the first json block under the README's "## CLI" heading
+        with open(os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "README.md"), encoding="utf-8") as fh:
+            text = fh.read()
+        cli = text[text.index("\n## CLI\n"):]
+        start = cli.index("```json\n") + len("```json\n")
+        assert json.loads(cli[start:cli.index("\n```", start)]) == DEFAULT_CONFIG
+
     def test_missing_cost_model_file(self, tmp_path):
         over = dict(SMALL_FC)
         over["cost_model"] = str(tmp_path / "absent.json")
@@ -300,6 +322,17 @@ class TestConfigTable:
         assert err.count("\n") == 1 and "--out" in err
         assert afile.read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
+    def test_empty_out_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr("synmem.cli.layer_sweep", never)
+        cfg = write_cfg(tmp_path, SMALL_FC)
+        monkeypatch.chdir(tmp_path)
+        assert run(["fc-sweep", "--config", cfg, "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: --out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

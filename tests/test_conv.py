@@ -275,14 +275,11 @@ class TestPassTraces:
         fwd = AccessTrace()
         for pre_id in range(g.n_pre):
             fwd += s.forward_lookup(pre_id)[1]
-        assert fwd == s.forward_pass_trace()
         bwd = AccessTrace()
         for post_id in range(g.n_post):
             bwd += s.reverse_lookup(post_id)[1]
-        assert bwd == s.backward_scan_trace()
-        f2, b2, u2 = functional_pass_traces(g, 8)
+        f2, b2, u2 = functional_pass_traces(s.geometry, s.b_w)
         assert f2 == fwd and b2 == bwd
-        assert u2 == s.weight_update_trace()
         assert weight_writes(u2) == g.kernel_words
 
     def test_conv_csr_pass_traces_match_real_store(self):

@@ -197,6 +197,18 @@ class TestDensityLeakGrid:
             assert sum(r["winner"] for r in group) == 1
             assert best["winner_oom"] == math.floor(math.log10(best["total_pJ"]))
 
+    def test_tied_schemes_are_all_winners_in_both_sweeps(self, monkeypatch):
+        # every scheme priced on CB's traces ties at every point; the sweeps
+        # share one rule, and bench/checks.py holds every CSV to it
+        monkeypatch.setattr("synmem.energy.fc_pass_traces",
+                            lambda name, *args: fc_pass_traces("CB", *args))
+        swept = layer_sweep(FcLayer(64, 48, 0.3), [2, 8], DEFAULT_MODEL)
+        grid = sweep_density_leakage([0.2, 0.8], [0.0, 0.3], DEFAULT_MODEL,
+                                     n_pre=64, n_post=48)
+        for rows in (swept, grid):
+            assert len(rows) > len(FC_SCHEMES)
+            assert [r["winner"] for r in rows] == [1] * len(rows)
+
     def test_leak_fraction_one_rejected(self):
         with pytest.raises(ValueError):
             sweep_density_leakage([0.1, 0.9], [0.0, 1.0], DEFAULT_MODEL)

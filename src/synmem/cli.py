@@ -20,10 +20,10 @@ versions; no timestamps or absolute paths, so reruns are byte-identical.
 Exit codes: 0 ok, 2 config error. A cost model whose constants are each
 valid but together overflow an energy figure (EnergyOverflowError) is a
 config error too, as are a config or cost-model file that is not UTF-8
-JSON and an --out that is empty, names a file or lies under one (refused
-before the command runs). Any other exception raised while a command
-computes is a bug and propagates. --out is created only once every row is
-computed.
+JSON or names a key twice in one object, and an --out that is empty,
+names a file or lies under one (refused before the command runs). Any
+other exception raised while a command computes is a bug and propagates.
+--out is created only once every row is computed.
 """
 
 import argparse
@@ -41,7 +41,7 @@ from . import __version__
 from .conv import ConvGeometry
 from .energy import (ConvLayer, EnergyOverflowError, FcLayer, finite_energy,
                      layer_sweep, load_cost_model, sweep_density_leakage,
-                     training_energy)
+                     training_energy, unique_keys)
 from .quant import QuantConfig
 from .snn import NetworkConfig, train_cells
 from .stores import FC_SCHEMES
@@ -160,12 +160,12 @@ def write_csv(path, schema, rows):
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:     # JSON is UTF-8 (RFC 8259)
-            user = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            user = json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from exc
+    except (OSError, ValueError) as exc:    # not UTF-8, or a key given twice
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: top level must be an object")
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
@@ -260,7 +260,7 @@ def _cost_model(cfg):
         return load_cost_model(source)
     except OSError as exc:
         raise ConfigError(f"cannot read cost model {source!r}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad cost model {source!r}: {exc}") from exc
 
 

@@ -97,11 +97,18 @@ DEFAULT_MODEL = CostModel()
 FACTORY_CONSTANTS = DEFAULT_MODEL.constants()
 
 
+def unique_keys(pairs):
+    """json's object_pairs_hook: a key given twice is a ValueError, not an overwrite."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError(f"duplicate key {max(obj, key=[k for k, _ in pairs].count)!r}")
+    return obj
+
+
 def load_cost_model(source):
     """Cost model from a dict or a JSON file of constant overrides."""
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
-            source = json.load(fh)
+            source = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(source, dict):
         raise ValueError(
             f"a cost model must be a JSON object, got {type(source).__name__}")

@@ -10,12 +10,14 @@ Container layout (all little-endian):
         CSR    u32 n_pre, u32 n_post, u16 b_w, u64 nnz
         BMP    u32 n_pre, u32 n_post, u16 b_w, u16 w_word, u64 nnz
         FUNC   u32 in_h, u32 in_w, u16 k_h, u16 k_w, u32 c_in, u32 c_out, u16 b_w
+        b_w lies in [1, 53] (float64's significand), w_word in [1, 64]
     bank count u8, then per bank:
         u8 name length, name (ascii), u64 n_words, u16 word_bits,
         n_words words of ceil(word_bits/8) bytes each, little-endian.
 
-The banks and their order are the store's layout table (`stores.fc_banks`,
-`conv.functional_banks`), for the encoder and the decoder alike.
+`_FORMATS` is the format's one statement, read by the encoder and the decoder
+alike; the listing above is for readers. The banks' sizes and widths are the
+store's layout table (`stores.fc_banks`, `conv.functional_banks`).
 Weight-bank words are signed two's-complement multiples of the grid step
 2**(1 - b_w), inside the weight range (-1 + step, 1 - step), so at one bit
 the only code is 0; index banks (pointers, column indices, bitmaps) are
@@ -34,10 +36,12 @@ indices are not below n_post and strictly increasing within each row, and
 when a PB-BMP bitmap has bits set beyond n_post, a popcount other than nnz,
 or row pointers other than the exclusive sum of its row popcounts. A store
 it returns carries the array dtypes the builders produce. `to_bytes` raises
-OverflowError for a word that does not fit its bank instead of wrapping it.
+OverflowError for an out-of-bounds width or a word too wide for its bank.
 """
 
 import struct
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +52,26 @@ from .stores import (BitmapStore, CrossbarStore, CsrStore, bitmap_words, fc_bank
 
 MAGIC = b"SYNM"
 VERSION = 1
-_SCHEME_TAGS = {"CB": 1, "PB-CSR": 2, "PB-BMP": 3, "FUNC": 4}
+
+
+class _Format(NamedTuple):
+    tag: int
+    header: str         # struct format of the header, one code per field
+    fields: tuple       # store attributes the header holds, in order
+    arrays: tuple       # store arrays the banks hold, in layout order
+
+
+_FORMATS = {
+    "CB": _Format(1, "<IIH", ("n_pre", "n_post", "b_w"), ("weights",)),
+    "PB-CSR": _Format(2, "<IIHQ", ("n_pre", "n_post", "b_w", "nnz"),
+                      ("row_ptr", "col_idx", "weights")),
+    "PB-BMP": _Format(3, "<IIHHQ", ("n_pre", "n_post", "b_w", "w_word", "nnz"),
+                      ("row_ptr", "bitmap", "weights")),
+    "FUNC": _Format(4, "<IIHHIIH", ("geometry.in_h", "geometry.in_w", "geometry.k_h",
+                                    "geometry.k_w", "geometry.c_in", "geometry.c_out",
+                                    "b_w"), ("kernel",)),
+}
+_WIDTHS = {"b_w": 53, "w_word": 64}     # widest value of each header width field
 
 
 class ContainerError(ValueError):
@@ -72,8 +95,6 @@ def _word_range(word_bits, signed):
 
 
 def _pack_words(values, word_bits, signed):
-    if word_bits > 64:
-        raise OverflowError(f"{word_bits}-bit words are wider than 64 bits")
     values = np.asarray(values)
     lo, hi = _word_range(word_bits, signed)
     if values.size and not lo <= int(values.min()) <= int(values.max()) <= hi:
@@ -88,40 +109,28 @@ def _pack_words(values, word_bits, signed):
     return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
 
 
-def _signed(bank):
-    return bank.kind == "weight"
-
-
 def _bank_blob(bank, values):
     head = struct.pack("<B", len(bank.name)) + bank.name.encode("ascii")
     head += struct.pack("<QH", len(values), bank.word_bits)
-    return head + _pack_words(values, bank.word_bits, _signed(bank))
+    return head + _pack_words(values, bank.word_bits, bank.kind == "weight")
+
+
+def _check_widths(header, error):
+    """Raise error(message, name) for the first width field outside [1, its widest]."""
+    for name, top in _WIDTHS.items():
+        if name in header and not 1 <= header[name] <= top:
+            raise error(f"{name} must be in [1, {top}], got {header[name]}", name)
 
 
 def to_bytes(store):
-    tag = _SCHEME_TAGS[store.scheme]
-    head = struct.pack("<4sHB", MAGIC, VERSION, tag)
-    if isinstance(store, CrossbarStore):
-        head += struct.pack("<IIH", store.n_pre, store.n_post, store.b_w)
-        words = [store.weights]
-    elif isinstance(store, CsrStore):
-        head += struct.pack("<IIHQ", store.n_pre, store.n_post, store.b_w, store.nnz)
-        words = [store.row_ptr, store.col_idx, store.weights]
-    elif isinstance(store, BitmapStore):
-        head += struct.pack("<IIHHQ", store.n_pre, store.n_post, store.b_w,
-                            store.w_word, store.nnz)
-        words = [store.row_ptr, store.bitmap, store.weights]
-    elif isinstance(store, FunctionalStore):
-        g = store.geometry
-        head += struct.pack("<IIHHIIH", g.in_h, g.in_w, g.k_h, g.k_w,
-                            g.c_in, g.c_out, store.b_w)
-        words = [store.kernel]
-    else:
+    if (fmt := _FORMATS.get(getattr(store, "scheme", None))) is None:
         raise TypeError(f"unknown store type {type(store).__name__}")
-    *index, weights = [np.asarray(w).reshape(-1) for w in words]
+    values = attrgetter(*fmt.fields)(store)
+    _check_widths(dict(zip(fmt.fields, values)), lambda msg, _: OverflowError(msg))
+    head = struct.pack("<4sHB", MAGIC, VERSION, fmt.tag) + struct.pack(fmt.header, *values)
+    *index, weights = [np.asarray(getattr(store, a)).reshape(-1) for a in fmt.arrays]
     codes = np.round(weights / sigma(store.b_w)).astype(np.int64)
-    banks = [_bank_blob(bank, values)
-             for bank, values in zip(store.banks(), [*index, codes])]
+    banks = [_bank_blob(b, words) for b, words in zip(store.banks(), [*index, codes])]
     return head + struct.pack("<B", len(banks)) + b"".join(banks)
 
 
@@ -159,7 +168,7 @@ class _Reader:
 
     def _bank(self, bank):
         name, n_words, word_bits, signed = (bank.name, bank.n_words, bank.word_bits,
-                                            _signed(bank))
+                                            bank.kind == "weight")
         at = self.offset
         (name_len,) = self.unpack("<B", f"bank {name!r} header")
         got = bytes(self.buf[self.take(name_len, f"bank {name!r} name"):self.offset])
@@ -234,11 +243,6 @@ def _check_bitmap(r, row_ptr, bitmap, n_post, w_word, nnz, nnz_at):
              "row_ptr is not the exclusive sum of the row popcounts")
 
 
-def _check_b_w(b_w, at):
-    if not 1 <= b_w <= 64:
-        raise ContainerError(f"b_w must be in [1, 64], got {b_w}", at)
-
-
 def from_bytes(buf):
     """Decode a container written by `to_bytes`; malformed input raises ContainerError."""
     r = _Reader(buf)
@@ -247,45 +251,34 @@ def from_bytes(buf):
         raise ContainerError(f"bad magic {magic!r}", 0)
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}", 4)
-    head = r.offset
-    if tag == 1:
-        n_pre, n_post, b_w = r.unpack("<IIH", "CB header")
-        _check_b_w(b_w, head + 8)
-        banks = r.banks(fc_banks("CB", n_pre, n_post, 0, b_w))   # nnz does not shape CB
-        r.end()
-        weights = banks["weight"].reshape(n_pre, n_post) * sigma(b_w)
-        return CrossbarStore(weights, weights != 0.0, b_w)
-    if tag == 2:
-        n_pre, n_post, b_w, nnz = r.unpack("<IIHQ", "PB-CSR header")
-        _check_b_w(b_w, head + 8)
-        banks = r.banks(fc_banks("PB-CSR", n_pre, n_post, nnz, b_w))
-        r.end()
-        row_ptr = banks["row_ptr"].astype(np.int64)
-        col_idx = banks["col_idx"].astype(np.int64)
-        _check_csr(r, row_ptr, col_idx, n_post, nnz)
-        return CsrStore(row_ptr, col_idx, banks["weight"] * sigma(b_w), n_post, b_w)
-    if tag == 3:
-        n_pre, n_post, b_w, w_word, nnz = r.unpack("<IIHHQ", "PB-BMP header")
-        _check_b_w(b_w, head + 8)
-        if not 1 <= w_word <= 64:
-            raise ContainerError(f"w_word must be in [1, 64], got {w_word}", head + 10)
-        banks = r.banks(fc_banks("PB-BMP", n_pre, n_post, nnz, b_w, w_word))
-        r.end()
-        row_ptr = banks["row_ptr"].astype(np.int64)
-        bitmap = banks["bitmap"].reshape(n_pre, bitmap_words(n_post, w_word))
-        _check_bitmap(r, row_ptr, bitmap, n_post, w_word, nnz, head + 12)
-        return BitmapStore(row_ptr, bitmap, banks["weight"] * sigma(b_w),
-                           n_post, b_w, w_word)
-    if tag == 4:
-        in_h, in_w, k_h, k_w, c_in, c_out, b_w = r.unpack("<IIHHIIH", "FUNC header")
+    scheme = next((name for name, f in _FORMATS.items() if f.tag == tag), None)
+    if scheme is None:
+        raise ContainerError(f"unknown scheme tag {tag}", 6)
+    fmt = _FORMATS[scheme]
+    at = {f: r.offset + struct.calcsize(fmt.header[:k + 1])    # each field's byte offset
+          for k, f in enumerate(fmt.fields)}
+    h = dict(zip(fmt.fields, r.unpack(fmt.header, f"{scheme} header")))
+    if scheme == "FUNC":
         try:
-            g = ConvGeometry(in_h, in_w, k_h, k_w, c_in, c_out)
+            g = ConvGeometry(*list(h.values())[:-1])    # the geometry leads the header
         except ValueError as e:
-            raise ContainerError(f"invalid geometry: {e}", head) from e
-        _check_b_w(b_w, head + 20)
-        banks = r.banks(functional_banks(g, b_w))
-        r.end()
-        kernel = banks["weight"].reshape(c_in, c_out, k_h, k_w) * sigma(b_w)
-        return FunctionalStore(g, kernel, b_w)
-    raise ContainerError(f"unknown scheme tag {tag}", 6)
-
+            raise ContainerError(f"invalid geometry: {e}", at["geometry.in_h"]) from e
+    _check_widths(h, lambda msg, name: ContainerError(msg, at[name]))
+    b_w = h["b_w"]
+    banks = r.banks(functional_banks(g, b_w) if scheme == "FUNC" else
+                    fc_banks(scheme, **{"nnz": 0, **h}))    # nnz does not shape CB
+    r.end()
+    weights = banks["weight"] * sigma(b_w)
+    if scheme == "CB":
+        weights = weights.reshape(h["n_pre"], h["n_post"])
+        return CrossbarStore(weights, weights != 0.0, b_w)
+    if scheme == "FUNC":
+        return FunctionalStore(g, weights.reshape(g.c_in, g.c_out, g.k_h, g.k_w), b_w)
+    row_ptr = banks["row_ptr"].astype(np.int64)
+    if scheme == "PB-CSR":
+        col_idx = banks["col_idx"].astype(np.int64)
+        _check_csr(r, row_ptr, col_idx, h["n_post"], h["nnz"])
+        return CsrStore(row_ptr, col_idx, weights, h["n_post"], b_w)
+    bitmap = banks["bitmap"].reshape(h["n_pre"], bitmap_words(h["n_post"], h["w_word"]))
+    _check_bitmap(r, row_ptr, bitmap, h["n_post"], h["w_word"], h["nnz"], at["nnz"])
+    return BitmapStore(row_ptr, bitmap, weights, h["n_post"], b_w, h["w_word"])

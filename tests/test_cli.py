@@ -158,6 +158,33 @@ class TestConfig:
         assert str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("which,text,key", [
+        ("config", '{"fc_sweep": {"n_pre": 10, "n_pre": 20}, "fc_sweep": {}}', "n_pre"),
+        ("config", '{"fc_sweep": {"n_pre": 10}, "fc_sweep": {"density": 0.5}}',
+         "fc_sweep"),
+        ("config", '{"cost_model": {"b_read": 0.0, "b_read": 0.5}}', "b_read"),
+        ("cost_model", '{"b_read": 0.0, "b_write": 0.0, "b_read": 0.5}', "b_read"),
+    ], ids=["key-in-a-section", "section", "inline-cost-model", "cost-model-file"])
+    def test_a_name_given_twice_is_a_config_error(self, tmp_path, capsys, which, text,
+                                                  key):
+        # json.load would keep the last value and silently drop the first
+        dup = tmp_path / "dup.json"
+        dup.write_text(text)
+        cfg = str(dup) if which == "config" else write_cfg(
+            tmp_path, {**SMALL_FC, "cost_model": str(dup)})
+        out = tmp_path / "out"
+        assert run(["fc-sweep", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert f"duplicate key {key!r}" in err
+        assert not out.exists()
+
+    def test_one_name_in_two_objects_is_no_duplicate(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"fc_sweep": {"n_pre": 5},
+                                   "density_leak_grid": {"n_pre": 6}})
+        loaded = load_config(cfg)
+        assert (loaded["fc_sweep"]["n_pre"], loaded["density_leak_grid"]["n_pre"]) == (5, 6)
+
     def test_readme_default_config_is_the_code_default(self):
         # the first json block under the README's "## CLI" heading
         with open(os.path.join(os.path.dirname(os.path.dirname(

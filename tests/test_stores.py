@@ -706,10 +706,48 @@ class TestContainerChecks:
             assert _rejects(blob, "geometry") == 7
 
     def test_invalid_word_widths_in_the_header(self):
+        # a fault's offset is its field's first byte: the 7-byte preamble, then
+        # the header fields before it
         for b_w in (0, 65):
-            _rejects(_container(1, "<IIH", (1, 1, b_w), [_bank("weight", [0], 8)]), "b_w")
+            blob = _container(1, "<IIH", (1, 1, b_w), [_bank("weight", [0], 8)])
+            assert _rejects(blob, "b_w") == 15
+            assert _rejects(_csr_blob(b_w=b_w), "b_w") == 15
+            assert _rejects(_bmp_blob(b_w=b_w), "b_w") == 15
+            blob = _container(4, "<IIHHIIH", (1, 1, 1, 1, 1, 1, b_w),
+                              [_bank("weight", [0], 8)])
+            assert _rejects(blob, "b_w") == 27
         for w_word in (0, 65):
-            _rejects(_bmp_blob(w_word=w_word), "w_word")
+            assert _rejects(_bmp_blob(w_word=w_word), "w_word") == 17
+
+    def test_weight_words_wider_than_53_bits_are_rejected(self):
+        # float64 holds every weight of at most 53 bits exactly; at 60 bits the
+        # top code 2**59 - 1 would decode to 1.0, outside the weight range
+        for b_w in (54, 60):
+            blob = _container(1, "<IIH", (1, 1, b_w),
+                              [_bank("weight", [(1 << (b_w - 1)) - 1], b_w)])
+            assert _rejects(blob, r"b_w must be in \[1, 53\]") == 15
+        back = from_bytes(_container(1, "<IIH", (1, 1, 53),
+                                     [_bank("weight", [(1 << 52) - 1], 53)]))
+        assert back.weights.tolist() == [[1 - sigma(53)]]
+        assert_structurally_valid(back)
+
+    def test_encoder_refuses_weight_words_wider_than_53_bits(self):
+        # refused before the weights are cast to codes: at 64 bits the cast of
+        # 1.0 / 2**-63 would overflow int64
+        m = random_synapse_matrix(3, 4, 1.0, CounterRng(24))
+        g = ConvGeometry(2, 2, 1, 1, 1, 1)
+        for b_w in (54, 64):
+            stores = [build(m, b_w) for build in ALL_BUILDERS]
+            for s in stores:
+                s.write_weight(0, 0, 1.2)
+            for s in (*stores, build_functional(g, np.full((1, 1, 1, 1), 1.2), b_w)):
+                with pytest.raises(OverflowError, match=r"b_w must be in \[1, 53\]"):
+                    to_bytes(s)
+        for build in ALL_BUILDERS:
+            s = build(m, 53)
+            s.write_weight(0, 0, 1.2)       # clipped to the grid's edge, 1 - 2**-52
+            assert s.to_dense()[0, 0] == 1 - sigma(53)
+            assert_structurally_valid(s)
 
     def test_encoder_refuses_words_that_do_not_fit(self):
         for value in (2.0, -1.0):      # code 256, and -128 outside the weight range
